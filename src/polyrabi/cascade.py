@@ -20,6 +20,7 @@ discarded) by :func:`run_cascade`.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -83,6 +84,10 @@ class ModeConfig:
         object.__setattr__(self, "j", int(self.j))
         if len(self.m) < 1 or len(self.m) != len(self.omega):
             raise ValueError("need one Rabi amplitude per mode offset, at least one mode")
+        if not math.isfinite(self.delta0):
+            raise ValueError(f"detuning delta0 must be finite, got {self.delta0!r}")
+        if not all(cmath.isfinite(x) for x in self.omega):
+            raise ValueError("Rabi amplitudes must be finite")
         if self.m[0] != 0:
             raise ValueError("mode offsets must start at 0")
         if any(b <= a for a, b in zip(self.m, self.m[1:])):

@@ -25,7 +25,7 @@ import numpy as np
 from .cascade import ModeConfig, run_cascade
 from .closed_forms import WeakFieldConfig, two_mode_u0, weak_field_uge
 from .field_state import gamma_weights, weighted_pe
-from .oracle import build_hamiltonian, compare, evolve
+from .oracle import build_hamiltonian, compare, evolve, min_halfwidth
 from .propagator import PeSeries, excitation_probability, undress
 
 __all__ = [
@@ -72,6 +72,10 @@ class Experiment:
             _check_engine(eng, self.config)
         if self.weights is not None and self.engine == "weak_field":
             raise ConfigError("gaussian weights are not defined for the weak_field engine")
+        if "oracle" in self.engines() and self.window <= min_halfwidth(self.config):
+            raise ConfigError(
+                f"window {self.window} too small; need > {min_halfwidth(self.config)}"
+            )
 
     def engines(self) -> tuple[str, ...]:
         if self.engine != "all":
@@ -389,9 +393,9 @@ def main(argv=None) -> int:
             kw = {}
             if args.engine:
                 kw["engine"] = args.engine
-            if args.tau:
+            if args.tau is not None:
                 kw["tau"] = _parse_tau(args.tau)
-            if args.window:
+            if args.window is not None:
                 kw["window"] = args.window
             if kw:
                 exp = replace(exp, **kw)

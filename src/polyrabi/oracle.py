@@ -5,6 +5,14 @@ offsets from the initial field state) crossed with the two spin states.  It
 is diagonalized exactly and the state evolved by eigenphase rotation, which
 is grid-independent and exact to roundoff at the sizes used here.
 
+The lattice matrix is real (``float64``) when every coupling is real and
+complex otherwise, so real combs take LAPACK's real symmetric eigensolver
+and a single real matrix product for the eigenphase rotation.  Eigenvectors
+whose overlap with the initial state is at most :data:`OVERLAP_CUT` are left
+out of the rotation: the lattice eigenstates are localized, so most of them
+have no weight on site 0, and the part of the state they carry has 2-norm at
+most ``sqrt(dim) * OVERLAP_CUT`` at every time.
+
 All comparisons between the analytic machinery and this solver go through
 :func:`compare`; the coherent channel sum that turns lab-frame amplitudes
 into the lattice-frame excitation probability carries the per-site phase
@@ -23,12 +31,14 @@ from .propagator import PeSeries
 
 __all__ = [
     "LEAKAGE_TOL",
+    "OVERLAP_CUT",
     "TruncatedBasis",
     "OracleRun",
     "SkVerification",
     "ComparisonReport",
     "BasisSizeError",
     "GridMismatchError",
+    "min_halfwidth",
     "build_hamiltonian",
     "evolve",
     "verify_Sk",
@@ -38,6 +48,12 @@ __all__ = [
 # Fraction of the initial population tolerated in the outer 10% of the
 # lattice before a run is flagged invalid.
 LEAKAGE_TOL = 1e-8
+
+# Eigenvectors with |<eigenvector|initial state>| at or below this are left
+# out of the evolution.  The part of the state they carry has 2-norm at most
+# sqrt(dim) * OVERLAP_CUT (about 1.4e-30 at dimension 802), far below any
+# gate above.
+OVERLAP_CUT = np.finfo(float).eps ** 2
 
 
 class BasisSizeError(ValueError):
@@ -70,7 +86,8 @@ class TruncatedBasis:
         return 2 * (self.sites + self.halfwidth)
 
 
-def _min_halfwidth(cfg: ModeConfig) -> int:
+def min_halfwidth(cfg: ModeConfig) -> int:
+    """Bound a lattice halfwidth must exceed: four ladder reaches of ``cfg``."""
     reach = max(max(abs(s) for s in cfg.mode_shifts), abs(cfg.j), 1)
     return 4 * reach
 
@@ -81,24 +98,26 @@ def build_hamiltonian(cfg: ModeConfig, halfwidth: int) -> tuple[np.ndarray, Trun
     Diagonal ``n + omega0*sigma/2``; each mode couples (n, down) to
     (n - shift, up) with amplitude omega_k/2.  Couplings falling outside the
     lattice are dropped (open boundary); validity is enforced downstream by
-    the leakage gate, not by absorbing edges.
+    the leakage gate, not by absorbing edges.  The matrix is ``float64``
+    when every coupling has zero imaginary part, ``complex128`` otherwise.
     """
-    if halfwidth <= _min_halfwidth(cfg):
+    if halfwidth <= min_halfwidth(cfg):
         raise BasisSizeError(
-            f"halfwidth {halfwidth} too small; need > {_min_halfwidth(cfg)}"
+            f"halfwidth {halfwidth} too small; need > {min_halfwidth(cfg)}"
         )
     basis = TruncatedBasis(halfwidth)
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    w0 = cfg.omega0
-    for n in basis.sites:
-        h[basis.index(n, False), basis.index(n, False)] = n - 0.5 * w0
-        h[basis.index(n, True), basis.index(n, True)] = n + 0.5 * w0
+    real = all(om.imag == 0.0 for om in cfg.omega)
+    h = np.zeros((basis.dim, basis.dim), dtype=float if real else complex)
+    down, up = basis.down_indices(), basis.up_indices()
+    h[down, down] = basis.sites - 0.5 * cfg.omega0
+    h[up, up] = basis.sites + 0.5 * cfg.omega0
     for shift, om in zip(cfg.mode_shifts, cfg.omega):
-        for n in basis.sites:
-            n_up = n - shift
-            if abs(n_up) <= halfwidth:
-                h[basis.index(n_up, True), basis.index(n, False)] += 0.5 * om
-                h[basis.index(n, False), basis.index(n_up, True)] += 0.5 * np.conj(om)
+        # row of (n - shift, up) is 2*shift below the row of (n, up)
+        inside = np.abs(basis.sites - shift) <= halfwidth
+        rows, cols = up[inside] - 2 * shift, down[inside]
+        amp = 0.5 * (om.real if real else om)
+        h[rows, cols] = amp
+        h[cols, rows] = np.conj(amp)
     return h, basis
 
 
@@ -145,16 +164,25 @@ def evolve(
     """Evolve (site 0, spin down) exactly and collect probabilities.
 
     Uses the full eigendecomposition, so the result is grid-independent.
-    The excitation probability is the squared coherent sum of the up-sector
-    amplitudes with the per-site phase exp(i n tau) removed by the trace
-    convention of the analytic series.
+    Eigenvectors with overlap |c0_j| <= :data:`OVERLAP_CUT` with the initial
+    state are skipped; what they would add to psi has 2-norm at most
+    ``sqrt(dim) * OVERLAP_CUT`` at every tau.  For a real ``h`` the
+    eigenvector-phase product is one real matrix product over the
+    interleaved real/imaginary view of the phases.  The excitation
+    probability is the squared coherent sum of the up-sector amplitudes
+    with the per-site phase exp(i n tau) removed by the trace convention of
+    the analytic series.
     """
     taugrid = np.asarray(taugrid, dtype=float)
     evals, evecs = np.linalg.eigh(h)
-    i0 = basis.index(0, False)
-    c0 = evecs[i0, :].conj()
-    phases = np.exp(-1j * np.outer(evals, taugrid))
-    psi = evecs @ (phases * c0[:, None])
+    c0 = evecs[basis.index(0, False), :].conj()
+    kept = np.abs(c0) > OVERLAP_CUT
+    vecs = evecs[:, kept]
+    coeffs = np.exp(-1j * np.outer(evals[kept], taugrid)) * c0[kept, None]
+    if np.isrealobj(vecs):
+        psi = (vecs @ coeffs.view(float)).view(complex)
+    else:
+        psi = vecs @ coeffs
 
     norms = np.linalg.norm(psi, axis=0)
     norm_defect = float(np.max(np.abs(norms - 1.0)))

@@ -32,6 +32,19 @@ class TestModeConfig:
         with pytest.raises(ValueError):
             ModeConfig(j=1, m=(0, 2, 2), omega=(0.1,) * 3, delta0=1.0)
 
+    @pytest.mark.parametrize(
+        "omega, delta0",
+        [
+            ((math.nan, 0.5), 1.0),
+            ((0.5, complex(0.1, math.inf)), 1.0),
+            ((0.5, 0.5), math.nan),
+            ((0.5, 0.5), -math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, omega, delta0):
+        with pytest.raises(ValueError, match="finite"):
+            ModeConfig(j=1, m=(0, 2), omega=omega, delta0=delta0)
+
     def test_resonance_order_warning(self):
         with pytest.warns(ResonanceOrderWarning):
             ModeConfig(j=1, m=(0, 1, 2), omega=(1 / 7,) * 3, delta0=6 / 7)

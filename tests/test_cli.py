@@ -204,6 +204,51 @@ class TestMain:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["kind"] == "validation"
 
+    def _rejected_before_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([*argv, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["kind"] == "validation"
+        assert list(out.iterdir()) == []
+        return err
+
+    def _fig1_doc(self, tmp_path, **overrides):
+        doc = {
+            "name": "run",
+            "config": {"j": 1, "m": [0, 2], "omega": [[0.5, 0.0], [0.5, 0.0]], "delta0": 1.0},
+            "engine": "all",
+            "tau": {"start": 0.0, "stop": 3.0, "count": 20},
+            "window": 60,
+        }
+        doc.update(overrides)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_window_zero_override_rejected(self, tmp_path, capsys):
+        # a zero window is an override like any other, not "no override"
+        err = self._rejected_before_output(
+            tmp_path, capsys, ["--preset", "fig1", "--window", "0"]
+        )
+        assert "window 0" in err["error"]
+
+    def test_small_config_window_rejected_before_output(self, tmp_path, capsys):
+        cfg_path = self._fig1_doc(tmp_path, window=-3)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "window -3" in err["error"]
+
+    def test_small_window_ignored_without_oracle(self, tmp_path):
+        cfg_path = self._fig1_doc(tmp_path, window=-3, engine="cascade")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_nan_coupling_rejected_before_output(self, tmp_path, capsys):
+        config = {"j": 1, "m": [0, 2], "omega": [math.nan, 0.5], "delta0": 1.0}
+        cfg_path = self._fig1_doc(tmp_path, config=config)  # json writes the token NaN
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "finite" in err["error"]
+
     def test_both_modes_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path)]) == 2
 

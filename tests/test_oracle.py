@@ -6,6 +6,7 @@ import pytest
 
 from polyrabi.cascade import ModeConfig, StageParams, run_cascade
 from polyrabi.oracle import (
+    OVERLAP_CUT,
     BasisSizeError,
     GridMismatchError,
     TruncatedBasis,
@@ -78,6 +79,32 @@ class TestBuildHamiltonian:
         assert h[basis.index(1, True), basis.index(0, False)] == 0.25
         assert h[basis.index(-1, True), basis.index(0, False)] == 0.25
 
+    @staticmethod
+    def per_element(cfg, halfwidth):
+        """The lattice Hamiltonian written out one site at a time."""
+        basis = TruncatedBasis(halfwidth)
+        h = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for n in basis.sites:
+            h[basis.index(n, False), basis.index(n, False)] = n - 0.5 * cfg.omega0
+            h[basis.index(n, True), basis.index(n, True)] = n + 0.5 * cfg.omega0
+        for shift, om in zip(cfg.mode_shifts, cfg.omega):
+            for n in basis.sites:
+                if abs(n - shift) <= halfwidth:
+                    h[basis.index(n - shift, True), basis.index(n, False)] += 0.5 * om
+                    h[basis.index(n, False), basis.index(n - shift, True)] += 0.5 * np.conj(om)
+        return h
+
+    @pytest.mark.parametrize(
+        "omega, dtype",
+        [((0.5, 0.3, 0.2), np.float64), ((0.5, 0.3j, 0.2 - 0.1j), np.complex128)],
+    )
+    def test_dtype_and_entries(self, omega, dtype):
+        # shifts -2, -1 and 1: modes on both sides of the initial site
+        cfg = ModeConfig(j=-2, m=(0, 1, 3), omega=omega, delta0=2.9)
+        h, _ = build_hamiltonian(cfg, 15)
+        assert h.dtype == dtype
+        assert np.array_equal(h, self.per_element(cfg, 15))
+
 
 class TestEvolve:
     def test_initial_state(self):
@@ -105,6 +132,37 @@ class TestEvolve:
         h, basis = build_hamiltonian(cfg, 60)
         run = evolve(h, basis, np.linspace(0, 4 * math.pi, 100))
         assert run.norm_defect < 1e-10
+
+    def test_common_coupling_phase_is_a_gauge(self, taus_4pi):
+        # a common phase on every coupling forces the complex path and
+        # changes only the phase of the up sector
+        cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.3), delta0=1.0)
+        phase = np.exp(0.7j)
+        rotated = replace(cfg, omega=tuple(phase * om for om in cfg.omega))
+        runs = []
+        for c in (cfg, rotated):
+            h, basis = build_hamiltonian(c, 80)
+            runs.append(evolve(h, basis, taus_4pi, channels=[1, 3, -1]))
+        real, cplx = runs
+        assert real.eigenvectors.dtype == np.float64
+        assert cplx.eigenvectors.dtype == np.complex128
+        assert np.max(np.abs(real.pe.values - cplx.pe.values)) <= 1e-12
+        for s in (1, 3, -1):
+            assert np.max(np.abs(real.pe.channels[s] - cplx.pe.channels[s])) <= 1e-12
+
+    def test_overlap_cut_matches_full_rotation(self, taus_4pi):
+        cfg = ModeConfig(j=1, m=(0, 1, 2), omega=(1 / 7,) * 3, delta0=2.0)
+        h, basis = build_hamiltonian(cfg, 200)
+        run = evolve(h, basis, taus_4pi)
+
+        evals, evecs = np.linalg.eigh(h)
+        c0 = evecs[basis.index(0, False), :].conj()
+        # the cut is in play: most lattice eigenstates miss site 0
+        assert np.count_nonzero(np.abs(c0) > OVERLAP_CUT) < basis.dim // 2
+        psi = evecs @ (np.exp(-1j * np.outer(evals, taus_4pi)) * c0[:, None])
+        site_phase = np.exp(1j * np.outer(basis.sites, taus_4pi))
+        pe = np.abs(np.sum(site_phase * psi[basis.up_indices(), :], axis=0)) ** 2
+        assert np.max(np.abs(run.pe.values - pe)) <= 1e-14
 
     def test_oracle_series_in_unit_interval(self, fig1_oracle):
         assert fig1_oracle.pe.values.min() >= -1e-10
