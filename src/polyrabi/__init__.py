@@ -20,11 +20,9 @@ from .terms import (
     TermSum,
     UntracedShiftError,
     term_mul,
-    sum_canonicalize,
-    evaluate,
-    field_trace,
     mat_vec,
-    mat_mat,
+    dagger,
+    sandwich,
 )
 from .cascade import (
     ModeConfig,
@@ -34,6 +32,7 @@ from .cascade import (
     ChiExtractionError,
     ResonanceOrderWarning,
     stage_zero,
+    stage_unitary,
     build_M,
     next_stage,
     run_cascade,

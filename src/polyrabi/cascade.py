@@ -7,10 +7,15 @@ next mode's coupling becomes static.  The modes are dressed in resonance
 order, the one farthest from the bare spin frequency first and the nearest
 last (:attr:`ModeConfig.dressing_order`), and each stage dresses onto the
 adiabatic branch, the one that stays connected to the bare up state as its
-coupling vanishes (:attr:`StageParams.splitting`).  The interaction is
-carried as a 3-vector of :class:`~polyrabi.terms.TermSum` coefficients over
-the spin basis ``(sigma_z, sigma_+, sigma_-)`` and each stage acts through a
-3x3 transfer matrix plus a constant shift of the sigma_z entry.
+coupling vanishes (:attr:`StageParams.splitting`).  Each stage is one
+unitary W = S R, the dressing S then the frame rotation R, written once as
+a 2x2 matrix of :class:`~polyrabi.terms.TermSum` entries
+(:func:`stage_unitary`).  The interaction is carried as a 3-vector of
+coefficients over the spin basis ``(sigma_z, sigma_+, sigma_-)``; a stage
+conjugates it by W (:func:`build_M`, derived through
+:func:`~polyrabi.terms.sandwich`) and shifts the sigma_z entry by a
+constant.  The undressing matrices of :mod:`polyrabi.propagator` are
+derived from the same W.
 
 After ``N-1`` stages the remaining static, resonant part is a plain two-level
 interaction with detuning ``Delta_N`` and coupling ``chi_N`` of the nearest
@@ -25,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .terms import Term, TermSum, TermVector, TermMatrix, mat_vec
+from .terms import Term, TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich
 
 __all__ = [
     "ModeConfig",
@@ -36,6 +41,7 @@ __all__ = [
     "ChiExtractionError",
     "ResonanceOrderWarning",
     "stage_zero",
+    "stage_unitary",
     "build_M",
     "next_stage",
     "run_cascade",
@@ -138,7 +144,9 @@ class StageParams:
     ``rabi`` is the generalized Rabi frequency sqrt(detuning^2 + |chi|^2) and
     ``splitting`` the same with the sign of the detuning; the ``*_norm``
     properties are quantities divided by the splitting (an uncoupled stage
-    with zero detuning has no splitting and normalizes as undressed).
+    with zero detuning has no splitting and normalizes as undressed);
+    ``detuning_norm`` and ``chi_norm`` define the stage's dressing
+    (:func:`stage_unitary`).
     ``mode_shift`` is the ladder displacement of this stage's mode and
     ``dm_next`` the signed offset gap to the next mode dressed (0 at the
     final stage).
@@ -166,19 +174,6 @@ class StageParams:
         return -self.rabi if self.detuning < 0.0 else self.rabi
 
     @property
-    def shift_plus(self) -> float:
-        """Dressed-level shift (detuning + splitting) / 2, signed as the detuning."""
-        return 0.5 * (self.detuning + self.splitting)
-
-    @property
-    def shift_minus(self) -> float:
-        """Dressed-level shift (detuning - splitting) / 2, signed against the detuning.
-
-        Divided by the splitting it is never positive.
-        """
-        return 0.5 * (self.detuning - self.splitting)
-
-    @property
     def detuning_norm(self) -> float:
         e = self.splitting
         return self.detuning / e if e else 1.0
@@ -187,28 +182,6 @@ class StageParams:
     def chi_norm(self) -> complex:
         e = self.splitting
         return self.chi / e if e else 0.0j
-
-    @property
-    def shift_plus_norm(self) -> float:
-        e = self.splitting
-        return self.shift_plus / e if e else 1.0
-
-    @property
-    def shift_minus_norm(self) -> float:
-        e = self.splitting
-        return self.shift_minus / e if e else 0.0
-
-    @property
-    def chi_phase(self) -> complex:
-        """Unit phase chi / conj(chi); 1 for a vanishing or real coupling."""
-        if self.chi == 0:
-            return 1.0 + 0.0j
-        return self.chi / self.chi.conjugate()
-
-    @property
-    def theta_term(self) -> Term:
-        """Frame-rotation phase exp(i * dm_next * tau) as a Term."""
-        return Term(1.0, 2.0 * self.dm_next, 0)
 
 
 @dataclass(frozen=True)
@@ -268,42 +241,43 @@ def stage_zero(cfg: ModeConfig) -> TermVector:
     return (vz, plus, plus.conjugate_mirror())
 
 
-def build_M(p: StageParams) -> TermMatrix:
-    """Transfer matrix of one dressing-plus-rotation stage.
+def stage_unitary(p: StageParams, halffreq: float) -> TermMatrix:
+    """Dressing unitary of a stage, then the rotation exp(-i*halffreq*tau*sigma_z/2).
 
-    Columns hold the images of sigma_z, sigma_+, sigma_- under conjugation by
-    the stage's dressing unitary, onto the branch of ``p.splitting``, followed
-    by the frame rotation that makes the next mode static.  For a complex
-    coupling the lower-shift entries carry the coupling's unit phase squared;
-    with a real coupling they reduce to the plain normalized shift.
+    A 2x2 matrix of TermSum entries, rows and columns (up, down)::
+
+        ((c e-,           -x b_s e+),
+         (conj(x) b_-s e-, c e+     ))
+
+    with c = sqrt((1 + detuning_norm)/2), x = chi_norm/(2c) and
+    e+- = exp(+-i*halffreq*tau/2).  ``halffreq = 0`` gives the dressing S,
+    ``p.dm_next`` the stage unitary W = S R whose rotation R makes the next
+    mode static, and ``p.splitting`` the final stage's evolution
+    S exp(-i*splitting*tau*sigma_z/2).  On the adiabatic branch
+    ``detuning_norm`` lies in [0, 1], so c >= sqrt(1/2).
     """
-    if p.rabi == 0.0:
-        raise DegenerateStageError(f"stage {p.k}: zero detuning and zero coupling")
-    dn = p.detuning_norm
-    xn = p.chi_norm
-    sp = p.shift_plus_norm
-    sm = p.shift_minus_norm
-    ph = p.chi_phase
-    f = 2.0 * p.dm_next  # halffreq of the frame phase exp(i*dm*tau)
+    c = math.sqrt(0.5 * (1.0 + p.detuning_norm))
+    x = p.chi_norm / (2.0 * c)
+    f = float(halffreq)
     s = p.mode_shift
     one = TermSum.single
     return (
-        (
-            one(dn),
-            one(0.5 * xn.conjugate(), 0.0, -s),
-            one(0.5 * xn, 0.0, s),
-        ),
-        (
-            one(-xn, f, s),
-            one(sp, f, 0),
-            one(sm * ph, f, 2 * s),
-        ),
-        (
-            one(-xn.conjugate(), -f, -s),
-            one(sm * ph.conjugate(), -f, -2 * s),
-            one(sp, -f, 0),
-        ),
+        (one(c, -f, 0), one(-x, f, s)),
+        (one(x.conjugate(), -f, -s), one(c, f, 0)),
     )
+
+
+def build_M(p: StageParams) -> TermMatrix:
+    """Transfer matrix of one dressing-plus-rotation stage.
+
+    The conjugation X -> W^dag X W by the stage unitary W = S R
+    (:func:`stage_unitary` at ``p.dm_next``) on the components
+    (sigma_z, sigma_+, sigma_-); column j holds the image of the j-th.
+    """
+    if p.rabi == 0.0:
+        raise DegenerateStageError(f"stage {p.k}: zero detuning and zero coupling")
+    w = stage_unitary(p, p.dm_next)
+    return tuple(row[1:] for row in sandwich(dagger(w), w)[1:])
 
 
 def next_stage(

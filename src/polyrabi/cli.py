@@ -14,6 +14,7 @@ failure (leakage gate; partial outputs are kept).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -66,8 +67,17 @@ class Experiment:
         start, stop, count = self.tau
         if count < 2:
             raise ConfigError("tau grid needs at least 2 points")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"tau endpoints must be finite, got {start!r}, {stop!r}")
         if not stop > start:
             raise ConfigError("tau stop must exceed start")
+        if self.weights is not None:
+            if not all(cmath.isfinite(a) for a in self.weights):
+                raise ConfigError("gaussian alphas must be finite")
+            if not any(self.weights):
+                raise ConfigError("at least one gaussian alpha must be nonzero")
+            if self.weight_window < 0:
+                raise ConfigError(f"weight window {self.weight_window} must be non-negative")
         for eng in self.engines():
             _check_engine(eng, self.config)
         if self.weights is not None and self.engine == "weak_field":
@@ -83,7 +93,7 @@ class Experiment:
         out = ["cascade"]
         if self.config.n_modes == 2:
             out.append("two_mode")
-        if _uniform_spacing(self.config) is not None and self.weights is None:
+        if WeakFieldConfig.uniform_spacing(self.config) is not None and self.weights is None:
             out.append("weak_field")
         out.append("oracle")
         return tuple(out)
@@ -93,17 +103,10 @@ class Experiment:
         return np.linspace(start, stop, count)
 
 
-def _uniform_spacing(cfg: ModeConfig) -> int | None:
-    if cfg.n_modes == 1:
-        return 1
-    gaps = {b - a for a, b in zip(cfg.m, cfg.m[1:])}
-    return gaps.pop() if len(gaps) == 1 else None
-
-
 def _check_engine(engine: str, cfg: ModeConfig) -> None:
     if engine == "two_mode" and cfg.n_modes != 2:
         raise ConfigError("two_mode engine requires exactly 2 modes")
-    if engine == "weak_field" and _uniform_spacing(cfg) is None:
+    if engine == "weak_field" and WeakFieldConfig.uniform_spacing(cfg) is None:
         raise ConfigError("weak_field engine requires a uniformly spaced comb")
 
 
@@ -376,8 +379,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tau", help="grid override start:stop:count")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--window", type=int, help="oracle lattice halfwidth override")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps (reserved; presets are deterministic)")
     args = parser.parse_args(argv)
 
     try:

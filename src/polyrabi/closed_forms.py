@@ -69,16 +69,18 @@ class WeakFieldConfig:
     def offsets(self) -> tuple[int, ...]:
         return tuple(k * self.spacing for k in range(self.n_modes))
 
+    @staticmethod
+    def uniform_spacing(cfg: ModeConfig) -> int | None:
+        """Common offset gap of ``cfg`` (1 for a single mode), None if it varies."""
+        gaps = {b - a for a, b in zip(cfg.m, cfg.m[1:])} or {1}
+        return gaps.pop() if len(gaps) == 1 else None
+
     @classmethod
     def from_mode_config(cls, cfg: ModeConfig) -> WeakFieldConfig:
         """Adopt a generic config; requires uniform mode spacing."""
-        if cfg.n_modes >= 2:
-            gaps = {b - a for a, b in zip(cfg.m, cfg.m[1:])}
-            if len(gaps) != 1:
-                raise ValueError("weak-field form needs a uniformly spaced comb")
-            spacing = gaps.pop()
-        else:
-            spacing = 1
+        spacing = cls.uniform_spacing(cfg)
+        if spacing is None:
+            raise ValueError("weak-field form needs a uniformly spaced comb")
         return cls(delta0=cfg.delta0, omega=cfg.omega, spacing=spacing)
 
 

@@ -101,24 +101,17 @@ def _shift_amplitudes(
 
 def weighted_pe(
     source: PropagatorComponents | OracleRun,
-    weights: FieldWeights | None,
+    weights: FieldWeights,
     taugrid: np.ndarray,
 ) -> PeSeries:
     """Excitation probability under an explicit level-weight profile.
 
-    With ``weights=None`` the profile is flat and the calculation reduces
-    exactly to the equal-weight trace (same code path as the unweighted
-    probability).  Otherwise, for each final level N the channel amplitudes
-    are summed weighted by gamma(N + shift) of the initial level they came
-    from, and the per-level probabilities are added.
+    For each final level N the channel amplitudes are summed weighted by
+    gamma(N + shift) of the initial level they came from, and the per-level
+    probabilities are added.  Flat weights are the plain traced probability
+    (:func:`~polyrabi.propagator.excitation_probability`, ``OracleRun.pe``).
     """
     taugrid = np.asarray(taugrid, dtype=float)
-    if weights is None:
-        if isinstance(source, PropagatorComponents):
-            amp = source.sigma_plus.trace_evaluate_many(taugrid)
-            return PeSeries(tau=taugrid, values=np.abs(amp) ** 2)
-        return PeSeries(tau=source.tau, values=source.pe.values.copy())
-
     shifts, rows = _shift_amplitudes(source, taugrid)
     reach = max((abs(s) for s in shifts), default=0)
     if isinstance(source, OracleRun):

@@ -227,7 +227,10 @@ def verify_Sk(p: StageParams, halfwidth: int) -> SkVerification:
     """Materialize a stage's dressing unitary and check it does its job.
 
     The unitary is the one the cascade dresses with, onto the adiabatic
-    branch: checks S^dag S = 1 and that conjugating the stage's two-level
+    branch (:func:`~polyrabi.cascade.stage_unitary` at zero rotation, up to
+    a global sign, which flips when the splitting is negative), built here
+    independently from the stage's raw detuning and coupling on the
+    lattice: checks S^dag S = 1 and that conjugating the stage's two-level
     block (detuning/2 sigma_z + coupling ladder terms) yields splitting/2
     sigma_z, away from the truncation edges (rows within twice the ladder
     reach of the boundary are excluded as expected artifacts of the open

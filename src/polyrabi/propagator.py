@@ -5,7 +5,10 @@ generalized Rabi frequency.  It is written as a 4-vector of
 :class:`~polyrabi.terms.TermSum` coefficients over ``(1, sigma_z, sigma_+,
 sigma_-)`` and pulled back to the lab frame by one 4x4 transfer matrix per
 dressing stage, applied right-to-left with canonicalization after each
-product so the term count stays bounded.
+product so the term count stays bounded.  The transfer matrices and the
+final rotation are not written out: each is the map U -> A U B of two
+stage unitaries (:func:`~polyrabi.cascade.stage_unitary`), taken to the
+4-vector basis by :func:`~polyrabi.terms.sandwich`.
 
 The excitation probability is the squared modulus of the sigma_+ component
 after the equal-weight partial trace over the field lattice; grouping the
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import CascadeResult, StageParams
-from .terms import TermSum, TermVector, TermMatrix, mat_vec
+from .cascade import CascadeResult, StageParams, stage_unitary
+from .terms import TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich
 
 __all__ = [
     "PropagatorComponents",
@@ -64,10 +67,6 @@ class PropagatorComponents:
     def hermiticity_defect(self) -> float:
         return (self.u[3] + self.u[2].conjugate_mirror()).max_abs_amp()
 
-    def evaluate_traced(self, tau: float) -> tuple[complex, complex, complex, complex]:
-        """All four components traced and evaluated at one time point."""
-        return tuple(c.field_trace().evaluate(tau) for c in self.u)
-
 
 @dataclass(frozen=True)
 class PeSeries:
@@ -83,74 +82,28 @@ class PeSeries:
 
 
 def dressed_propagator(p: StageParams) -> PropagatorComponents:
-    """Two-level propagator of the final, fully dressed stage.
+    """Two-level propagator of the final, fully dressed stage, in its lab frame.
 
-    cos/sin entries are expanded into exponential pairs at half-frequencies
-    +-rabi; the ladder factors carry the final mode's displacement.  A stage
-    with zero rabi frequency evolves trivially (identity).  The result does
-    not depend on the sign of the splitting.
+    S exp(-i*splitting*tau*sigma_z/2) S^dag with S the stage's dressing
+    (:func:`~polyrabi.cascade.stage_unitary`): exponential pairs at
+    half-frequencies +-rabi, the ladder factors carrying the final mode's
+    displacement.  A stage with zero rabi frequency evolves trivially
+    (identity).
     """
-    r = p.splitting
-    dn = p.detuning_norm
-    xn = p.chi_norm
-    s = p.mode_shift
-    cos = TermSum.cosine(r)
-    sin = TermSum.sine(r)
-    u = (
-        cos,
-        (-1j * dn) * sin,
-        ((-1j * xn) * sin) * TermSum.ladder(s),
-        ((-1j * xn.conjugate()) * sin) * TermSum.ladder(-s),
-    )
-    return PropagatorComponents(u=u)
+    u = sandwich(stage_unitary(p, p.splitting), dagger(stage_unitary(p, 0.0)))
+    return PropagatorComponents(u=tuple(row[0] for row in u))
 
 
 def build_T(p: StageParams) -> TermMatrix:
     """Undressing transfer matrix of one stage.
 
-    Inverts the stage's dressing and frame rotation on the 4-vector of
-    propagator coefficients.  Trigonometric entries are exponential pairs at
-    half-frequencies +-dm_next; ladder entries carry the stage mode's
-    displacement (singly and doubly).  As in the dressing matrix, the
-    double-displacement entries pick up the coupling's unit phase when the
-    coupling is complex.  A stage with zero coupling undresses as the left
-    product by the frame rotation ``exp(-i*dm_next*tau*sigma_z/2)``.
+    The map U -> W U S^dag on the 4-vector of propagator coefficients, with
+    W = S R the stage unitary at ``p.dm_next`` and S = W(0) its dressing
+    (:func:`~polyrabi.cascade.stage_unitary`).  A stage with zero coupling
+    undresses as the left product by the frame rotation
+    ``exp(-i*dm_next*tau*sigma_z/2)``.
     """
-    dn = p.detuning_norm
-    xn = p.chi_norm
-    sp = p.shift_plus_norm
-    sm = p.shift_minus_norm
-    ph = p.chi_phase
-    s = p.mode_shift
-    f = float(p.dm_next)  # halffreq of exp(+-i*theta/2) with theta = dm*tau
-    cos = TermSum.cosine(f)
-    sin = TermSum.sine(f)
-    ep = TermSum.single(1.0, f, 0)   # exp(+i*theta/2)
-    em = TermSum.single(1.0, -f, 0)  # exp(-i*theta/2)
-    b = TermSum.ladder(s)
-    bd = TermSum.ladder(-s)
-    zero = TermSum.zero()
-    return (
-        (cos, -1j * sin, zero, zero),
-        (
-            (-1j * dn) * sin,
-            dn * cos,
-            (-0.5 * xn.conjugate()) * em * bd,
-            (-0.5 * xn) * ep * b,
-        ),
-        (
-            ((-1j * xn) * sin) * b,
-            (xn * cos) * b,
-            sp * em,
-            (sm * ph) * ep * TermSum.ladder(2 * s),
-        ),
-        (
-            ((-1j * xn.conjugate()) * sin) * bd,
-            (xn.conjugate() * cos) * bd,
-            (sm * ph.conjugate()) * em * TermSum.ladder(-2 * s),
-            sp * ep,
-        ),
-    )
+    return sandwich(stage_unitary(p, p.dm_next), dagger(stage_unitary(p, 0.0)))
 
 
 def undress(cr: CascadeResult) -> PropagatorComponents:

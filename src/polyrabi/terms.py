@@ -15,6 +15,9 @@ first-class citizens of the algebra.
 
 Sums are kept canonical: like-keyed terms merged, half-frequency keys within
 ``FREQ_MERGE_TOL`` identified, amplitudes below ``AMP_DROP_TOL`` removed.
+Spin operators are 2x2 matrices of sums over (up, down); :func:`sandwich`
+turns a pair of them into the 4x4 transfer matrix of X -> a.X.b over the
+coefficient basis (1, sigma_z, sigma_+, sigma_-).
 All values are immutable; every operation returns a new object.
 """
 
@@ -34,12 +37,9 @@ __all__ = [
     "TermVector",
     "UntracedShiftError",
     "term_mul",
-    "sum_canonicalize",
-    "evaluate",
-    "field_trace",
     "mat_vec",
-    "mat_mat",
-    "termwise_max_difference",
+    "dagger",
+    "sandwich",
 ]
 
 # Half-frequency keys closer than this are treated as the same key; amplitudes
@@ -264,29 +264,6 @@ class TermSum:
         )
 
 
-# -- module-level forms of the core operations --------------------------------
-
-
-def sum_canonicalize(ts: TermSum | Iterable[Term]) -> TermSum:
-    """Return the canonical form of a term collection (idempotent)."""
-    if isinstance(ts, TermSum):
-        return TermSum(ts.terms)
-    return TermSum(ts)
-
-
-def evaluate(ts: TermSum, tau: float) -> complex:
-    return ts.evaluate(tau)
-
-
-def field_trace(ts: TermSum) -> TermSum:
-    return ts.field_trace()
-
-
-def termwise_max_difference(a: TermSum, b: TermSum) -> float:
-    """Largest surviving amplitude of a - b after canonicalization."""
-    return (a - b).max_abs_amp()
-
-
 # -- dense containers ----------------------------------------------------------
 
 TermVector = tuple  # tuple[TermSum, ...]
@@ -305,17 +282,47 @@ def mat_vec(m: TermMatrix, v: TermVector) -> TermVector:
     return tuple(out)
 
 
-def mat_mat(a: TermMatrix, b: TermMatrix) -> TermMatrix:
-    """Matrix-matrix product over TermSum entries."""
-    ncols = len(b[0])
-    out = []
-    for row in a:
-        new_row = []
-        for jcol in range(ncols):
-            acc = TermSum.zero()
-            for entry, brow in zip(row, b):
-                if entry and brow[jcol]:
-                    acc = acc + entry * brow[jcol]
-            new_row.append(acc)
-        out.append(tuple(new_row))
-    return tuple(out)
+# The spin basis (1, sigma_z, sigma_+, sigma_-) of 2x2 matrices over (up,
+# down): each basis element as its nonzero entries (row, col, value), and each
+# component as the entries (row, col, weight) it is read from,
+# (Y00 + Y11)/2, (Y00 - Y11)/2, Y01 and Y10.
+_BASIS = (
+    ((0, 0, 1.0), (1, 1, 1.0)),
+    ((0, 0, 1.0), (1, 1, -1.0)),
+    ((0, 1, 1.0),),
+    ((1, 0, 1.0),),
+)
+_READ = (
+    ((0, 0, 0.5), (1, 1, 0.5)),
+    ((0, 0, 0.5), (1, 1, -0.5)),
+    ((0, 1, 1.0),),
+    ((1, 0, 1.0),),
+)
+
+
+def dagger(a: TermMatrix) -> TermMatrix:
+    """Adjoint of a 2x2 matrix over TermSum entries (transpose and mirror)."""
+    return tuple(tuple(a[c][r].conjugate_mirror() for c in range(2)) for r in range(2))
+
+
+def sandwich(a: TermMatrix, b: TermMatrix) -> TermMatrix:
+    """4x4 matrix of the map X -> a.X.b over the basis (1, sigma_z, sigma_+, sigma_-).
+
+    ``a`` and ``b`` are 2x2 matrices over TermSum entries, rows and columns
+    (up, down).  Entry (i, j) is component i of a.E_j.b for the basis
+    element E_j, canonicalized once from all of its raw term products, so
+    each merged group is summed by a single ``fsum``.
+    """
+    return tuple(
+        tuple(
+            TermSum(
+                (w * e * ta.amp * tb.amp, ta.halffreq + tb.halffreq, ta.shift + tb.shift)
+                for p, q, w in read
+                for r, t, e in basis
+                for ta in a[p][r]
+                for tb in b[t][q]
+            )
+            for basis in _BASIS
+        )
+        for read in _READ
+    )

@@ -10,11 +10,12 @@ from polyrabi.cascade import (
     DegenerateStageError,
     ResonanceOrderWarning,
     stage_zero,
+    stage_unitary,
     build_M,
     next_stage,
     run_cascade,
 )
-from polyrabi.terms import Term, TermSum
+from polyrabi.terms import Term, TermSum, dagger, mat_vec, sandwich
 
 SQ125 = math.sqrt(1.25)
 
@@ -86,10 +87,9 @@ class TestStageParams:
     def test_fig1_stage1(self):
         p = StageParams(k=1, detuning=1.0, chi=0.5, mode_shift=1, dm_next=2)
         assert p.rabi == pytest.approx(SQ125)
-        assert p.shift_plus == pytest.approx(0.5 * (1 + SQ125))
-        assert p.shift_minus == pytest.approx(0.5 * (1 - SQ125))
-        assert p.shift_plus_norm == pytest.approx(0.9472135954999579)
-        assert p.shift_minus_norm == pytest.approx(-0.05278640450004204)
+        assert p.splitting == p.rabi
+        assert p.detuning_norm == pytest.approx(0.894427190999916)
+        assert p.chi_norm == pytest.approx(0.4472135954999579)
 
     def test_invariants_random(self):
         rng = np.random.default_rng(11)
@@ -102,9 +102,8 @@ class TestStageParams:
                 continue
             assert p.rabi >= abs(p.detuning) - 1e-15
             assert p.rabi >= abs(p.chi) - 1e-15
-            assert p.shift_plus * p.shift_minus == pytest.approx(
-                -0.25 * abs(p.chi) ** 2, abs=1e-12
-            )
+            # on the adiabatic branch, so stage_unitary's c = sqrt((1 + dn)/2) >= sqrt(1/2)
+            assert 0.0 <= p.detuning_norm <= 1.0
             assert p.detuning_norm**2 + abs(p.chi_norm) ** 2 == pytest.approx(
                 1.0, abs=1e-12
             )
@@ -115,15 +114,61 @@ class TestStageParams:
         p = StageParams(k=1, detuning=-1.0, chi=0.5, mode_shift=1, dm_next=2)
         assert p.rabi == pytest.approx(SQ125)
         assert p.splitting == -p.rabi
-        assert p.shift_minus == pytest.approx(0.5 * (SQ125 - 1))
-        assert p.shift_plus_norm == pytest.approx(0.9472135954999579)
-        assert p.shift_minus_norm == pytest.approx(-0.05278640450004204)
         assert p.detuning_norm == pytest.approx(1 / SQ125)
+        assert p.chi_norm == pytest.approx(-0.5 / SQ125)
         # an uncoupled stage is undressed whatever its detuning
+        one, zero = TermSum.constant(1.0), TermSum.zero()
         for d in (-0.7, 0.0, 0.7):
             q = StageParams(k=1, detuning=d, chi=0.0, mode_shift=1, dm_next=1)
             assert (q.detuning_norm, q.chi_norm) == (1.0, 0.0)
-            assert (q.shift_plus_norm, q.shift_minus_norm) == (1.0, 0.0)
+            assert stage_unitary(q, 0.0) == ((one, zero), (zero, one))
+
+
+def random_stage(rng):
+    """Stage with either sign of detuning and a complex, real or zero coupling."""
+    kind = rng.integers(4)
+    chi = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    if kind == 1:
+        chi = complex(chi.real)
+    elif kind >= 2:
+        chi = 0j
+    detuning = 0.0 if kind == 3 else rng.uniform(-2, 2)
+    return StageParams(
+        k=1, detuning=detuning, chi=chi, mode_shift=int(rng.integers(-3, 4)), dm_next=1
+    )
+
+
+class TestStageUnitary:
+    def test_dresses_random_stages(self):
+        # S^dag S = 1 and S^dag (detuning/2 sz + chi/2 b_s s+ + h.c.) S = splitting/2 sz
+        rng = np.random.default_rng(15)
+        zero = TermSum.zero()
+        for _ in range(200):
+            p = random_stage(rng)
+            s = stage_unitary(p, 0.0)
+            conj = sandwich(dagger(s), s)
+            unit = mat_vec(conj, (TermSum.constant(1.0), zero, zero, zero))
+            block = (
+                zero,
+                TermSum.constant(0.5 * p.detuning),
+                TermSum.single(0.5 * p.chi, 0.0, p.mode_shift),
+                TermSum.single(0.5 * p.chi.conjugate(), 0.0, -p.mode_shift),
+            )
+            dressed = mat_vec(conj, block)
+            expect_unit = (TermSum.constant(1.0), zero, zero, zero)
+            expect_dressed = (zero, TermSum.constant(0.5 * p.splitting), zero, zero)
+            for got, expect in zip(unit + dressed, expect_unit + expect_dressed):
+                assert (got - expect).max_abs_amp() <= 1e-15
+
+    def test_rotation_follows_dressing(self):
+        # stage_unitary(p, f) is S times exp(-i f tau sigma_z / 2)
+        p = StageParams(k=1, detuning=-0.6, chi=0.3 - 0.2j, mode_shift=2, dm_next=1)
+        s = stage_unitary(p, 0.0)
+        w = stage_unitary(p, 3.0)
+        rot = (TermSum.single(1.0, -3.0), TermSum.single(1.0, 3.0))
+        for r in range(2):
+            for c in range(2):
+                assert w[r][c] == s[r][c] * rot[c]
 
 
 class TestStageZero:

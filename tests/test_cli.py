@@ -249,6 +249,26 @@ class TestMain:
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert "finite" in err["error"]
 
+    def test_infinite_tau_rejected_before_output(self, tmp_path, capsys):
+        tau = {"start": -math.inf, "stop": 3.0, "count": 10}
+        cfg_path = self._fig1_doc(tmp_path, tau=tau, engine="cascade")
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "finite" in err["error"]
+
+    @pytest.mark.parametrize(
+        "weights, phrase",
+        [
+            ({"kind": "gaussian", "alpha": [[math.nan, 0.0]]}, "finite"),
+            ({"kind": "gaussian", "alpha": [[0.0, 0.0], [0.0, 0.0]]}, "nonzero"),
+            ({"kind": "gaussian", "alpha": [[3.0, 0.0]], "window": -5}, "window -5"),
+        ],
+        ids=["nan_alpha", "zero_alphas", "negative_window"],
+    )
+    def test_bad_weights_rejected_before_output(self, tmp_path, capsys, weights, phrase):
+        cfg_path = self._fig1_doc(tmp_path, weights=weights, engine="cascade")
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert phrase in err["error"]
+
     def test_both_modes_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path)]) == 2
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyrabi.cascade import ModeConfig, run_cascade
+from polyrabi.cli import Experiment, read_series_csv, run
 from polyrabi.field_state import WindowOverflowError, gamma_weights, weighted_pe
 from polyrabi.oracle import build_hamiltonian, evolve
 from polyrabi.propagator import excitation_probability, undress
@@ -39,10 +40,13 @@ class TestGammaWeights:
 
 
 class TestWeightedPe:
-    def test_flat_identical_to_plain(self, fig1_u0):
-        taus = np.linspace(0, 4 * math.pi, 300)
-        plain = excitation_probability(fig1_u0, taus)
-        flat = weighted_pe(fig1_u0, None, taus)
+    def test_flat_identical_to_plain(self, fig1_u0, tmp_path):
+        # flat weights are the plain traced probability, bit for bit
+        cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)
+        exp = Experiment(name="flat", config=cfg, engine="cascade", tau=(0.0, 4 * math.pi, 300))
+        run(exp, tmp_path)
+        plain = excitation_probability(fig1_u0, exp.taugrid())
+        flat = read_series_csv(tmp_path / "flat_cascade.csv")
         assert np.array_equal(plain.values, flat.values)
 
     def test_wide_gaussian_converges_to_flat(self, fig1_u0):

@@ -1,7 +1,10 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyrabi.cascade import ModeConfig, ResonanceOrderWarning, StageParams, run_cascade
 from polyrabi.propagator import (
@@ -13,6 +16,24 @@ from polyrabi.propagator import (
 from polyrabi.terms import TermSum
 
 from conftest import dominant_peak
+
+
+@st.composite
+def combs(draw):
+    """Combs of 1-4 modes, j in -2..2, real or complex couplings, any dressing order."""
+    n = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    m = tuple(itertools.accumulate(gaps, initial=0))
+    part = st.floats(-0.5, 0.5, allow_subnormal=False)
+    omega = []
+    for _ in range(n):
+        re = draw(part.filter(lambda x: abs(x) >= 0.05))
+        im = draw(st.one_of(st.just(0.0), part))
+        omega.append(complex(re, im))
+    delta0 = draw(st.floats(-2.0, m[-1] + 2.0, allow_subnormal=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceOrderWarning)
+        return ModeConfig(j=draw(st.integers(-2, 2)), m=m, omega=tuple(omega), delta0=delta0)
 
 
 def fig1_stages():
@@ -34,7 +55,7 @@ class TestDressedPropagator:
     def test_identity_at_zero(self):
         p = fig1_stages()[-1]
         u = dressed_propagator(p)
-        vals = u.evaluate_traced(0.0)
+        vals = [c.trace_evaluate_many(np.array([0.0]))[0] for c in u.u]
         assert vals[0] == pytest.approx(1.0)
         assert vals[1] == 0.0
         assert vals[2] == 0.0
@@ -76,6 +97,13 @@ class TestBuildT:
         # the counter-rotating entry is double-displaced with weight ~-0.0528
         assert t[2][3].amp_at(2.0, 2) == pytest.approx(-0.05278640450004204)
 
+    def test_fig1_stage1_entries_negative_detuning(self):
+        # the twin below resonance dresses onto the other branch with the same weights
+        p = StageParams(k=1, detuning=-1.0, chi=0.5, mode_shift=1, dm_next=2)
+        t = build_T(p)
+        assert t[2][2].amp_at(-2.0, 0) == pytest.approx(0.9472135954999579)
+        assert t[2][3].amp_at(2.0, 2) == pytest.approx(-0.05278640450004204)
+
     def test_rows_are_mirror_paired(self):
         p = fig1_stages()[0]
         t = build_T(p)
@@ -100,7 +128,7 @@ class TestUndress:
 
     def test_identity_at_zero(self):
         cr = run_cascade(ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0))
-        vals = undress(cr).evaluate_traced(0.0)
+        vals = [c.trace_evaluate_many(np.array([0.0]))[0] for c in undress(cr).u]
         assert vals[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(vals[1]) < 1e-12
         assert abs(vals[2]) < 1e-12
@@ -118,6 +146,14 @@ class TestUndress:
         single = undress(run_cascade(ModeConfig(j=1, m=(0,), omega=(0.4,), delta0=delta0)))
         for a, b in zip(undress(cr).u, single.u):
             assert (a - b).max_abs_amp() == 0.0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(combs())
+    def test_exact_gates_on_random_combs(self, cfg):
+        # P_e(0) and the mirror defect are exactly zero, not merely small
+        u0 = undress(run_cascade(cfg))
+        assert excitation_probability(u0, np.array([0.0])).values[0] == 0.0
+        assert u0.hermiticity_defect() == 0.0
 
     def test_three_mode_term_inventory(self):
         cfg = ModeConfig(j=1, m=(0, 1, 2), omega=(1 / 7,) * 3, delta0=2.0)

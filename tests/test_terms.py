@@ -8,10 +8,9 @@ from polyrabi.terms import (
     TermSum,
     UntracedShiftError,
     term_mul,
-    sum_canonicalize,
-    field_trace,
+    dagger,
     mat_vec,
-    mat_mat,
+    sandwich,
 )
 
 
@@ -74,7 +73,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(2)
         for _ in range(50):
             ts = random_sum(rng, 10)
-            assert sum_canonicalize(ts) == ts
+            assert TermSum(ts.terms) == ts
 
     def test_drop_threshold(self):
         ts = TermSum([Term(1e-15, 0.0, 0), Term(1.0, 2.0, 0)])
@@ -108,13 +107,13 @@ class TestEvaluate:
         for _ in range(30):
             a, b = random_sum(rng), random_sum(rng)
             tau = rng.uniform(0, 10)
-            lhs = field_trace(a + b).evaluate(tau)
-            rhs = field_trace(a).evaluate(tau) + field_trace(b).evaluate(tau)
+            lhs = (a + b).field_trace().evaluate(tau)
+            rhs = a.field_trace().evaluate(tau) + b.field_trace().evaluate(tau)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_evaluate_many_matches_scalar(self):
         rng = np.random.default_rng(4)
-        ts = field_trace(random_sum(rng, 8))
+        ts = random_sum(rng, 8).field_trace()
         taus = np.linspace(0, 7, 13)
         many = ts.evaluate_many(taus)
         for t, v in zip(taus, many):
@@ -124,17 +123,17 @@ class TestEvaluate:
 class TestFieldTrace:
     def test_shifts_collapse_and_merge(self):
         ts = TermSum([Term(0.3, 0.0, 5), Term(0.2, 0.0, -3)])
-        assert field_trace(ts).terms == (Term(0.5, 0.0, 0),)
+        assert ts.field_trace().terms == (Term(0.5, 0.0, 0),)
 
     def test_empty(self):
-        assert field_trace(TermSum.zero()) == TermSum.zero()
+        assert TermSum.zero().field_trace() == TermSum.zero()
 
     def test_commutes_with_addition(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             a, b = random_sum(rng), random_sum(rng)
-            lhs = field_trace(a + b)
-            rhs = sum_canonicalize(field_trace(a) + field_trace(b))
+            lhs = (a + b).field_trace()
+            rhs = TermSum((a.field_trace() + b.field_trace()).terms)
             assert (lhs - rhs).max_abs_amp() < 1e-13
 
 
@@ -168,12 +167,62 @@ class TestStructure:
         for x, y in zip(left, right):
             assert (x - y).max_abs_amp() < 1e-12
 
-    def test_mat_mat_associates_with_vec(self):
+
+def mat2(a, b):
+    """Product of two 2x2 matrices over TermSum entries."""
+    return tuple(
+        tuple(a[r][0] * b[0][c] + a[r][1] * b[1][c] for c in range(2)) for r in range(2)
+    )
+
+
+def random_mat2(rng, n=2, shifts=True):
+    def entry():
+        ts = 0.25 * random_sum(rng, n)  # entries of order one
+        return ts if shifts else ts.field_trace()
+
+    return tuple(tuple(entry() for _ in range(2)) for _ in range(2))
+
+
+# (1, sigma_z, sigma_+, sigma_-) over rows and columns (up, down)
+PAULI = (
+    np.eye(2),
+    np.diag([1.0, -1.0]),
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+    np.array([[0.0, 0.0], [1.0, 0.0]]),
+)
+
+
+def numeric(m, tau):
+    return np.array([[e.evaluate(tau) for e in row] for row in m])
+
+
+class TestSandwich:
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            a = random_mat2(rng, shifts=False)
+            b = random_mat2(rng, shifts=False)
+            x = tuple(random_sum(rng, 3).field_trace() for _ in range(4))
+            y = mat_vec(sandwich(a, b), x)
+            for tau in rng.uniform(0, 10, size=3):
+                xm = sum(c.evaluate(tau) * e for c, e in zip(x, PAULI))
+                ym = sum(c.evaluate(tau) * e for c, e in zip(y, PAULI))
+                expect = numeric(a, tau) @ xm @ numeric(b, tau)
+                assert np.max(np.abs(ym - expect)) < 1e-13
+
+    def test_dagger_is_adjoint(self):
+        rng = np.random.default_rng(13)
+        a = random_mat2(rng, shifts=False)
+        assert dagger(dagger(a)) == a
+        tau = 1.7
+        assert np.array_equal(numeric(dagger(a), tau), numeric(a, tau).conj().T)
+
+    def test_composes(self):
+        # a1.(a2.X.b2).b1 is (a1.a2).X.(b2.b1), ladder shifts included
         rng = np.random.default_rng(10)
-        a = tuple(tuple(random_sum(rng, 2) for _ in range(3)) for _ in range(3))
-        b = tuple(tuple(random_sum(rng, 2) for _ in range(3)) for _ in range(3))
-        v = tuple(random_sum(rng, 2) for _ in range(3))
-        left = mat_vec(mat_mat(a, b), v)
-        right = mat_vec(a, mat_vec(b, v))
-        for x, y in zip(left, right):
-            assert (x - y).max_abs_amp() < 1e-10
+        a1, a2, b1, b2 = (random_mat2(rng) for _ in range(4))
+        x = tuple(random_sum(rng, 2) for _ in range(4))
+        left = mat_vec(sandwich(a1, b1), mat_vec(sandwich(a2, b2), x))
+        right = mat_vec(sandwich(mat2(a1, a2), mat2(b2, b1)), x)
+        for p, q in zip(left, right):
+            assert (p - q).max_abs_amp() < 1e-10
