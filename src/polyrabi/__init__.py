@@ -18,7 +18,6 @@ dimensionless (base frequency times seconds).
 from .terms import (
     Term,
     TermSum,
-    UntracedShiftError,
     term_mul,
     mat_vec,
     dagger,
@@ -46,7 +45,6 @@ from .propagator import (
     excitation_probability,
 )
 from .closed_forms import (
-    WeakFieldConfig,
     WeakFieldWarning,
     two_mode_u0,
     weak_field_uge,
@@ -65,6 +63,5 @@ from .oracle import (
     compare,
 )
 from .field_state import FieldWeights, WindowOverflowError, gamma_weights, weighted_pe
-from .cli import Experiment, ConfigError, preset_experiments, run, report
 
 __version__ = "0.1.0"

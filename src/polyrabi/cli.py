@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import ModeConfig, run_cascade
-from .closed_forms import WeakFieldConfig, two_mode_u0, weak_field_uge
+from .closed_forms import two_mode_u0, weak_field_uge
 from .field_state import gamma_weights, weighted_pe
 from .oracle import build_hamiltonian, compare, evolve, min_halfwidth
 from .propagator import PeSeries, excitation_probability, undress
@@ -78,8 +78,8 @@ class Experiment:
                 raise ConfigError("at least one gaussian alpha must be nonzero")
             if self.weight_window < 0:
                 raise ConfigError(f"weight window {self.weight_window} must be non-negative")
-        for eng in self.engines():
-            _check_engine(eng, self.config)
+        if self.engine == "two_mode" and self.config.n_modes != 2:
+            raise ConfigError("two_mode engine requires exactly 2 modes")
         if self.weights is not None and self.engine == "weak_field":
             raise ConfigError("gaussian weights are not defined for the weak_field engine")
         if "oracle" in self.engines() and self.window <= min_halfwidth(self.config):
@@ -93,7 +93,7 @@ class Experiment:
         out = ["cascade"]
         if self.config.n_modes == 2:
             out.append("two_mode")
-        if WeakFieldConfig.uniform_spacing(self.config) is not None and self.weights is None:
+        if self.weights is None:
             out.append("weak_field")
         out.append("oracle")
         return tuple(out)
@@ -101,13 +101,6 @@ class Experiment:
     def taugrid(self) -> np.ndarray:
         start, stop, count = self.tau
         return np.linspace(start, stop, count)
-
-
-def _check_engine(engine: str, cfg: ModeConfig) -> None:
-    if engine == "two_mode" and cfg.n_modes != 2:
-        raise ConfigError("two_mode engine requires exactly 2 modes")
-    if engine == "weak_field" and WeakFieldConfig.uniform_spacing(cfg) is None:
-        raise ConfigError("weak_field engine requires a uniformly spaced comb")
 
 
 # -- presets -------------------------------------------------------------------
@@ -293,7 +286,7 @@ class RunResult:
 def _analytic_series(exp: Experiment, engine: str, taus: np.ndarray) -> PeSeries:
     cfg = exp.config
     if engine == "weak_field":
-        amp = weak_field_uge(WeakFieldConfig.from_mode_config(cfg), taus)
+        amp = weak_field_uge(cfg, taus)
         return PeSeries(tau=taus, values=np.abs(amp) ** 2)
     u0 = two_mode_u0(cfg) if engine == "two_mode" else undress(run_cascade(cfg))
     full = excitation_probability(u0, taus, channels=exp.channels)
@@ -304,16 +297,13 @@ def _analytic_series(exp: Experiment, engine: str, taus: np.ndarray) -> PeSeries
 
 
 def run(exp: Experiment, outdir: Path) -> RunResult:
-    """Execute one experiment and write its artifacts under ``outdir``."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment and write its artifacts under ``outdir``.
+
+    Every series and comparison is computed before the first file is
+    written, so a run that raises leaves nothing behind.
+    """
     taus = exp.taugrid()
     result = RunResult()
-
-    echo = outdir / f"{exp.name}_config.json"
-    echo.write_text(json.dumps(experiment_to_dict(exp), indent=2, sort_keys=True) + "\n")
-    result.files.append(echo)
-
     produced: dict[str, PeSeries] = {}
     for engine in exp.engines():
         if engine == "oracle":
@@ -332,18 +322,27 @@ def run(exp: Experiment, outdir: Path) -> RunResult:
             produced[engine] = series
         else:
             produced[engine] = _analytic_series(exp, engine, taus)
-        path = outdir / f"{exp.name}_{engine}.csv"
-        write_series_csv(path, produced[engine], channel_order=exp.channels)
-        result.files.append(path)
-
+    reports = {}
     if "oracle" in produced:
-        for engine, series in produced.items():
-            if engine == "oracle":
-                continue
-            rep = compare(series, produced["oracle"])
-            path = outdir / f"{exp.name}_compare_{engine}.json"
-            path.write_text(json.dumps(rep.as_dict(), indent=2, sort_keys=True) + "\n")
-            result.files.append(path)
+        reports = {
+            engine: compare(series, produced["oracle"])
+            for engine, series in produced.items()
+            if engine != "oracle"
+        }
+
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    echo = outdir / f"{exp.name}_config.json"
+    echo.write_text(json.dumps(experiment_to_dict(exp), indent=2, sort_keys=True) + "\n")
+    result.files.append(echo)
+    for engine, series in produced.items():
+        path = outdir / f"{exp.name}_{engine}.csv"
+        write_series_csv(path, series, channel_order=exp.channels)
+        result.files.append(path)
+    for engine, rep in reports.items():
+        path = outdir / f"{exp.name}_compare_{engine}.json"
+        path.write_text(json.dumps(rep.as_dict(), indent=2, sort_keys=True) + "\n")
+        result.files.append(path)
     return result
 
 
@@ -409,7 +408,7 @@ def main(argv=None) -> int:
     for exp in patched:
         try:
             result = run(exp, args.out)
-        except (ConfigError, ValueError) as exc:
+        except (ConfigError, ValueError, OSError) as exc:
             print(json.dumps({"error": str(exc), "kind": "validation"}), file=sys.stderr)
             return 2
         if not result.oracle_valid:

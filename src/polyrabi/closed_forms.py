@@ -2,7 +2,7 @@
 
 Three independent evaluators that double as cross-checks of the cascade
 engine: the exact two-mode lab-frame propagator, the weak-field amplitude
-for a uniformly spaced comb (second order in coupling over spacing), and
+for any comb (second order in coupling over the smallest offset gap), and
 the textbook single-mode Rabi probability.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .propagator import PeSeries, PropagatorComponents
 from .terms import TermSum
 
 __all__ = [
-    "WeakFieldConfig",
     "WeakFieldWarning",
     "two_mode_u0",
     "weak_field_uge",
@@ -28,60 +26,7 @@ __all__ = [
 
 
 class WeakFieldWarning(UserWarning):
-    """Couplings are large relative to the comb spacing for the weak-field form."""
-
-
-@dataclass(frozen=True)
-class WeakFieldConfig:
-    """Uniformly spaced comb for the weak-field amplitude.
-
-    ``spacing`` is the (integer) offset between neighbouring modes, so the
-    offsets are ``m_k = (k-1)*spacing``; ``delta0`` is the bare detuning from
-    the lowest mode, in comb units.
-    """
-
-    delta0: float
-    omega: tuple[complex, ...]
-    spacing: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(complex(x) for x in self.omega))
-        object.__setattr__(self, "delta0", float(self.delta0))
-        object.__setattr__(self, "spacing", int(self.spacing))
-        if self.spacing < 1:
-            raise ValueError("spacing must be a positive integer")
-        if len(self.omega) < 1:
-            raise ValueError("need at least one mode")
-        biggest = max(abs(x) for x in self.omega)
-        if biggest > 0.3 * self.spacing:
-            warnings.warn(
-                "mode couplings exceed 0.3x the comb spacing; the weak-field "
-                "amplitude is only second-order accurate",
-                WeakFieldWarning,
-                stacklevel=2,
-            )
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.omega)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(k * self.spacing for k in range(self.n_modes))
-
-    @staticmethod
-    def uniform_spacing(cfg: ModeConfig) -> int | None:
-        """Common offset gap of ``cfg`` (1 for a single mode), None if it varies."""
-        gaps = {b - a for a, b in zip(cfg.m, cfg.m[1:])} or {1}
-        return gaps.pop() if len(gaps) == 1 else None
-
-    @classmethod
-    def from_mode_config(cls, cfg: ModeConfig) -> WeakFieldConfig:
-        """Adopt a generic config; requires uniform mode spacing."""
-        spacing = cls.uniform_spacing(cfg)
-        if spacing is None:
-            raise ValueError("weak-field form needs a uniformly spaced comb")
-        return cls(delta0=cfg.delta0, omega=cfg.omega, spacing=spacing)
+    """Couplings are large relative to the smallest offset gap for the weak-field form."""
 
 
 def two_mode_u0(cfg: ModeConfig) -> PropagatorComponents:
@@ -158,21 +103,32 @@ def two_mode_u0(cfg: ModeConfig) -> PropagatorComponents:
     return PropagatorComponents(u=(u_id, u_z, u_plus, u_minus))
 
 
-def weak_field_uge(wcfg: WeakFieldConfig, taugrid: np.ndarray) -> np.ndarray:
-    """Up-down transition amplitude for a weak uniformly spaced comb.
+def weak_field_uge(cfg: ModeConfig, taugrid: np.ndarray) -> np.ndarray:
+    """Up-down transition amplitude for a weak comb.
 
     Keeps the full two-level rotation on the last mode (detuning
-    ``delta0 - m_N``, coupling ``omega_N``) and the comb sidebands of the
-    other modes to first order in coupling/spacing, so the probability is
-    accurate to second order.  The sideband phases advance in half-units of
-    ``spacing*tau``; their relative exponents reduce exactly to the two-mode
-    solution at N=2.
+    ``delta0 - m_N``, coupling ``omega_N``) and one first-order sideband for
+    each other mode k (amplitude ``omega_k / (delta0 - m_k)``), so the
+    probability is accurate to second order in coupling over the smallest
+    offset gap.  Sideband k advances at half-frequency ``m_N - 2*m_k`` and
+    the whole amplitude carries the phase ``exp(-i*m_N*tau/2)``; the
+    relative exponents reduce exactly to the two-mode solution at N=2.
+    Warns (:class:`WeakFieldWarning`) when a coupling exceeds 0.3x the
+    smallest gap (1 for a single mode); a lower mode closer to resonance
+    than 1e-9x that gap is rejected.
     """
     taugrid = np.asarray(taugrid, dtype=float)
-    n = wcfg.n_modes
-    offsets = wcfg.offsets
-    d_last = wcfg.delta0 - offsets[-1]
-    chi_last = wcfg.omega[-1]
+    gap = min((b - a for a, b in zip(cfg.m, cfg.m[1:])), default=1)
+    if max(abs(x) for x in cfg.omega) > 0.3 * gap:
+        warnings.warn(
+            "mode couplings exceed 0.3x the smallest offset gap; the "
+            "weak-field amplitude is only second-order accurate",
+            WeakFieldWarning,
+            stacklevel=2,
+        )
+    m_last = cfg.m[-1]
+    d_last = cfg.delta0 - m_last
+    chi_last = cfg.omega[-1]
     r = math.hypot(d_last, abs(chi_last))
     dn = d_last / r if r else 0.0
     xn = chi_last / r if r else 0.0j
@@ -182,20 +138,19 @@ def weak_field_uge(wcfg: WeakFieldConfig, taugrid: np.ndarray) -> np.ndarray:
     c = np.cos(half)
     f_plus = c - 1j * dn * s
     f_minus = -c - 1j * dn * s
-    theta_h = 0.5 * wcfg.spacing * taugrid  # half of the comb rotation angle
+    theta_h = 0.5 * taugrid
+    carrier = np.exp(-1j * m_last * theta_h)
 
-    out = (-1j * xn) * np.exp(-1j * (n - 1) * theta_h) * s
-    for p in range(1, n):
-        d_p = wcfg.delta0 - offsets[p - 1]
-        if abs(d_p) < 1e-9 * wcfg.spacing:
+    out = (-1j * xn) * carrier * s
+    for k, (mk, om) in enumerate(zip(cfg.m[:-1], cfg.omega[:-1]), start=1):
+        d_k = cfg.delta0 - mk
+        if abs(d_k) < 1e-9 * gap:
             raise ValueError(
-                f"mode {p} is resonant (detuning {d_p:g}); the weak-field "
+                f"mode {k} is resonant (detuning {d_k:g}); the weak-field "
                 "expansion requires off-resonant lower modes"
             )
-        xn_p = wcfg.omega[p - 1] / d_p
-        out = out + (0.5 * xn_p) * (
-            np.exp(1j * (n - 2 * p + 1) * theta_h) * f_minus
-            + np.exp(-1j * (n - 1) * theta_h) * f_plus
+        out = out + (0.5 * (om / d_k)) * (
+            np.exp(1j * (m_last - 2 * mk) * theta_h) * f_minus + carrier * f_plus
         )
     return out
 

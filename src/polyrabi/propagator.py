@@ -124,15 +124,15 @@ def undress(cr: CascadeResult) -> PropagatorComponents:
 def excitation_probability(
     u0: PropagatorComponents,
     taugrid: np.ndarray,
-    channels: bool | list[int] | tuple[int, ...] | None = None,
+    channels: list[int] | tuple[int, ...] | None = None,
 ) -> PeSeries:
     """Upper-state population over a time grid.
 
     P_e(tau) = |trace(u_sigma_plus) evaluated at tau|^2.  With ``channels``
-    truthy, per-shift probabilities are also computed by evaluating each
-    shift group separately before tracing; ``channels=True`` uses every shift
-    present, a list restricts to the given shifts (absent ones yield zeros).
-    The total is the squared modulus of the coherent sum over channels.
+    a non-empty list of shifts, per-shift probabilities are also computed by
+    evaluating each shift group separately before tracing (absent shifts
+    yield zeros).  The total is the squared modulus of the coherent sum
+    over channels.
     """
     taugrid = np.asarray(taugrid, dtype=float)
     amp = u0.sigma_plus.trace_evaluate_many(taugrid)
@@ -140,9 +140,8 @@ def excitation_probability(
     chan: dict[int, np.ndarray] | None = None
     if channels:
         groups = u0.sigma_plus.by_shift()
-        wanted = sorted(groups) if channels is True else list(channels)
         chan = {}
-        for s in wanted:
+        for s in channels:
             g = groups.get(int(s))
             if g is None:
                 chan[int(s)] = np.zeros(taugrid.shape)

@@ -35,7 +35,6 @@ __all__ = [
     "TermSum",
     "TermMatrix",
     "TermVector",
-    "UntracedShiftError",
     "term_mul",
     "mat_vec",
     "dagger",
@@ -47,10 +46,6 @@ __all__ = [
 # below any physical scale of the problem (frequencies are O(1) comb units).
 FREQ_MERGE_TOL = 1e-12
 AMP_DROP_TOL = 1e-14
-
-
-class UntracedShiftError(ValueError):
-    """Numeric evaluation was asked for a sum that still carries ladder shifts."""
 
 
 class Term(NamedTuple):
@@ -99,7 +94,8 @@ class TermSum:
     """Canonical finite sum of :class:`Term` elements.
 
     Supports ``+``, ``-``, ``*`` (by scalar, Term or TermSum), unary ``-``,
-    hermitian mirroring, tracing out the field shifts and numeric evaluation.
+    hermitian mirroring and numeric evaluation with the field shifts traced
+    out.
     Instances are immutable and safe to share between workers.
     """
 
@@ -215,41 +211,16 @@ class TermSum:
             groups.setdefault(t.shift, []).append(t)
         return {s: TermSum(ts) for s, ts in groups.items()}
 
-    # -- reduction and evaluation ---------------------------------------------
-
-    def field_trace(self) -> TermSum:
-        """Collapse every ladder displacement to unity (equal-weight trace)."""
-        return TermSum(Term(t.amp, t.halffreq, 0) for t in self.terms)
-
-    def evaluate(self, tau: float) -> complex:
-        """Numeric value sum(amp * exp(i*halffreq*tau/2)) at one time point.
-
-        Raises :class:`UntracedShiftError` if any ladder shift is still
-        present; trace first.  Summation uses ``math.fsum`` per quadrature
-        and is bit-identical to :meth:`evaluate_many` at the same point.
-        """
-        return complex(self.evaluate_many(np.array([tau]))[0])
-
-    def evaluate_many(self, taus: np.ndarray) -> np.ndarray:
-        """Vector of :meth:`evaluate` values over a time grid.
-
-        Keeps the exact per-point ``fsum`` semantics of :meth:`evaluate`
-        (the tau=0 value of a cancelling sum is exactly zero).
-        """
-        for t in self.terms:
-            if t.shift != 0:
-                raise UntracedShiftError(
-                    f"cannot evaluate: term carries ladder shift {t.shift}"
-                )
-        return self.trace_evaluate_many(taus)
+    # -- evaluation -----------------------------------------------------------
 
     def trace_evaluate_many(self, taus: np.ndarray) -> np.ndarray:
-        """Evaluate with every ladder displacement read as unity.
+        """Values sum(amp * exp(i*halffreq*tau/2)) over a time grid.
 
-        Unlike ``field_trace().evaluate_many(...)`` this sums the raw terms
-        without merging first, so sums that cancel do so exactly (merging
-        across shift groups rounds once per merged key and can leave dust of
-        order 1e-17 where the true value is zero).
+        Every ladder displacement is read as unity (the equal-weight trace
+        over the field lattice).  The raw terms are summed per point with
+        ``math.fsum``, without merging across shift groups first, so sums
+        that cancel do so exactly (merging would round once per merged key
+        and can leave dust of order 1e-17 where the true value is zero).
         """
         taus = np.asarray(taus, dtype=float)
         if not self.terms:

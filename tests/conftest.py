@@ -28,3 +28,13 @@ def dominant_peak(tau, values):
     k = int(np.argmax(spec[1:])) + 1
     width = 2.0 * math.pi / (tau[-1] - tau[0])
     return k * width, width
+
+
+def termwise_dev(a, b):
+    """Largest |amplitude difference| over the keys of either TermSum.
+
+    Reads the stored amplitudes directly, so residues below the drop
+    threshold of a canonicalized difference still count.
+    """
+    keys = {(t.halffreq, t.shift) for t in (*a, *b)}
+    return max((abs(a.amp_at(f, s) - b.amp_at(f, s)) for f, s in keys), default=0.0)

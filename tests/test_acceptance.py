@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from polyrabi.cascade import ModeConfig, StageParams, run_cascade
-from polyrabi.closed_forms import WeakFieldConfig, single_mode_rabi, two_mode_u0, weak_field_uge
+from polyrabi.closed_forms import single_mode_rabi, two_mode_u0, weak_field_uge
 from polyrabi.oracle import build_hamiltonian, compare, evolve, verify_Sk
 from polyrabi.propagator import excitation_probability, undress
 
@@ -151,7 +151,7 @@ class TestCriterion5:
         for om in couplings:
             cfg = ModeConfig(j=1, m=tuple(range(10)), omega=(om,) * 10, delta0=9.0)
             taus = np.linspace(0.0, 2.0 * math.pi / om, 1000)
-            amp = weak_field_uge(WeakFieldConfig.from_mode_config(cfg), taus)
+            amp = weak_field_uge(cfg, taus)
             run = _oracle(cfg, taus)
             assert run.valid
             devs[om] = float(np.max(np.abs(np.abs(amp) ** 2 - run.pe.values)))

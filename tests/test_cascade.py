@@ -17,6 +17,8 @@ from polyrabi.cascade import (
 )
 from polyrabi.terms import Term, TermSum, dagger, mat_vec, sandwich
 
+from conftest import termwise_dev
+
 SQ125 = math.sqrt(1.25)
 
 
@@ -158,7 +160,7 @@ class TestStageUnitary:
             expect_unit = (TermSum.constant(1.0), zero, zero, zero)
             expect_dressed = (zero, TermSum.constant(0.5 * p.splitting), zero, zero)
             for got, expect in zip(unit + dressed, expect_unit + expect_dressed):
-                assert (got - expect).max_abs_amp() <= 1e-15
+                assert termwise_dev(got, expect) <= 1e-15
 
     def test_rotation_follows_dressing(self):
         # stage_unitary(p, f) is S times exp(-i f tau sigma_z / 2)

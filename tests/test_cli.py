@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,13 +48,13 @@ class TestExperiment:
                 engine="two_mode",
             )
 
-    def test_weak_field_requires_uniform(self):
-        with pytest.raises(ConfigError):
-            Experiment(
-                name="x",
-                config=ModeConfig(j=1, m=(0, 1, 3), omega=(0.1,) * 3, delta0=3.0),
-                engine="weak_field",
-            )
+    def test_weak_field_follows_flat_weights(self):
+        # any comb, uniform or not, gets the weak-field engine under flat weights
+        cfg = ModeConfig(j=1, m=(0, 1, 3), omega=(0.1,) * 3, delta0=3.0)
+        flat = Experiment(name="x", config=cfg)
+        assert flat.engines() == ("cascade", "weak_field", "oracle")
+        weighted = Experiment(name="x", config=cfg, weights=(3.0 + 0.0j,))
+        assert weighted.engines() == ("cascade", "oracle")
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
@@ -269,6 +273,34 @@ class TestMain:
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert phrase in err["error"]
 
+    def test_window_overflow_rejected_before_output(self, tmp_path, capsys):
+        # the weight window's reach is known only once the oracle has run
+        weights = {"kind": "gaussian", "alpha": [[5.0, 0.0]], "window": 40}
+        cfg_path = self._fig1_doc(tmp_path, window=20, weights=weights)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "window" in err["error"]
+
+    def test_unwritable_out_rejected(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_path = self._fig1_doc(tmp_path, engine="cascade")
+        code = main(["--config", str(cfg_path), "--out", str(blocker / "sub")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["kind"] == "validation"
+
+    def test_module_run_without_runpy_warning(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyrabi.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert "usage: polyrabi" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_both_modes_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path)]) == 2
 
@@ -293,4 +325,5 @@ class TestMain:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["kind"] == "oracle-validity"
         # partial outputs are retained
+        assert (tmp_path / "leaky_config.json").exists()
         assert (tmp_path / "leaky_oracle.csv").exists()

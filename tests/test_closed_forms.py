@@ -1,16 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from polyrabi.cascade import ModeConfig, ResonanceOrderWarning, run_cascade
 from polyrabi.closed_forms import (
-    WeakFieldConfig,
     WeakFieldWarning,
     single_mode_rabi,
     two_mode_u0,
     weak_field_uge,
 )
+from polyrabi.oracle import build_hamiltonian, evolve
 from polyrabi.propagator import excitation_probability, undress
 
 
@@ -83,37 +84,33 @@ class TestTwoModeU0:
         assert two_mode_u0(cfg).hermiticity_defect() == 0.0
 
 
-class TestWeakFieldConfig:
-    def test_from_mode_config_uniform(self):
-        cfg = ModeConfig(j=1, m=(0, 2, 4), omega=(0.1,) * 3, delta0=4.0)
-        wc = WeakFieldConfig.from_mode_config(cfg)
-        assert wc.spacing == 2
-        assert wc.offsets == (0, 2, 4)
-
-    def test_from_mode_config_nonuniform_raises(self):
-        cfg = ModeConfig(j=1, m=(0, 1, 3), omega=(0.1,) * 3, delta0=3.0)
-        with pytest.raises(ValueError):
-            WeakFieldConfig.from_mode_config(cfg)
-
-    def test_strong_coupling_warns(self):
-        with pytest.warns(WeakFieldWarning):
-            WeakFieldConfig(delta0=1.0, omega=(0.5, 0.5), spacing=1)
-
-
 class TestWeakFieldUge:
     def test_single_mode_bare_rabi(self):
-        wc = WeakFieldConfig(delta0=0.3, omega=(0.1,), spacing=1)
+        cfg = ModeConfig(j=1, m=(0,), omega=(0.1,), delta0=0.3)
         taus = np.linspace(0, 20, 50)
-        got = weak_field_uge(wc, taus)
+        got = weak_field_uge(cfg, taus)
         r = math.hypot(0.3, 0.1)
         expect = -1j * (0.1 / r) * np.sin(0.5 * r * taus)
         assert np.allclose(got, expect, atol=1e-14)
+
+    def test_strong_coupling_warns(self):
+        # the bound is 0.3x the smallest offset gap, 1 for a single mode
+        taus = np.linspace(0, 1, 5)
+        with pytest.warns(WeakFieldWarning):
+            weak_field_uge(ModeConfig(j=1, m=(0, 1), omega=(0.5, 0.5), delta0=1.0), taus)
+        with pytest.warns(WeakFieldWarning):
+            weak_field_uge(ModeConfig(j=1, m=(0, 3, 4), omega=(0.35,) * 3, delta0=4.0), taus)
+        with pytest.warns(WeakFieldWarning):
+            weak_field_uge(ModeConfig(j=1, m=(0,), omega=(0.35,), delta0=0.0), taus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WeakFieldWarning)
+            weak_field_uge(ModeConfig(j=1, m=(0, 2), omega=(0.35, 0.35), delta0=2.0), taus)
 
     def test_reduces_to_two_mode_at_small_coupling(self):
         om = 0.01
         cfg = ModeConfig(j=1, m=(0, 1), omega=(om, om), delta0=1.0)
         taus = np.linspace(0, 2 * math.pi / om / 4, 400)
-        amp = weak_field_uge(WeakFieldConfig.from_mode_config(cfg), taus)
+        amp = weak_field_uge(cfg, taus)
         pe_exact = excitation_probability(two_mode_u0(cfg), taus)
         dev = np.max(np.abs(np.abs(amp) ** 2 - pe_exact.values))
         assert dev < 5e-4  # second order in coupling/spacing
@@ -124,26 +121,54 @@ class TestWeakFieldUge:
         for om in (0.1, 0.05):
             cfg = ModeConfig(j=1, m=(0, 1), omega=(om, om), delta0=1.0)
             taus = np.linspace(0, 2 * math.pi / om / 4, 400)
-            amp = weak_field_uge(WeakFieldConfig.from_mode_config(cfg), taus)
+            amp = weak_field_uge(cfg, taus)
             pe_exact = excitation_probability(two_mode_u0(cfg), taus)
             devs[om] = np.max(np.abs(np.abs(amp) ** 2 - pe_exact.values))
         assert devs[0.05] <= devs[0.1] / 3.5
+
+    @pytest.mark.parametrize(
+        "m, delta0", [((0, 1, 3), 3.0), ((0, 1, 4, 5), 5.0)], ids=["m013", "m0145"]
+    )
+    def test_second_order_on_nonuniform_comb(self, m, delta0):
+        # against the lattice oracle over one resonant cycle, halving every
+        # coupling must shrink the deviation by at least 3.5x
+        devs = {}
+        for om in (0.05, 0.025):
+            cfg = ModeConfig(j=1, m=m, omega=(om,) * len(m), delta0=delta0)
+            taus = np.linspace(0, 2 * math.pi / om, 400)
+            h, basis = build_hamiltonian(cfg, 200)
+            ref = evolve(h, basis, taus)
+            assert ref.valid
+            amp = weak_field_uge(cfg, taus)
+            devs[om] = np.max(np.abs(np.abs(amp) ** 2 - ref.pe.values))
+        assert devs[0.025] <= devs[0.05] / 3.5
+
+    def test_offsets_and_time_scale_together(self):
+        # doubling offsets, detuning and couplings while halving time is exact
+        cfg = ModeConfig(j=1, m=(0, 1, 3), omega=(0.04, 0.03 - 0.02j, 0.05), delta0=3.1)
+        wide = ModeConfig(
+            j=1, m=(0, 2, 6), omega=tuple(2 * x for x in cfg.omega), delta0=6.2
+        )
+        taus = np.linspace(0, 60, 101)
+        assert np.array_equal(weak_field_uge(wide, taus / 2), weak_field_uge(cfg, taus))
 
     def test_converges_to_single_mode_as_others_vanish(self):
         taus = np.linspace(0, 30, 200)
         ref = single_mode_rabi(0.05, 0.1, taus).values
         for eps in (1e-3, 1e-5):
-            wc = WeakFieldConfig(delta0=2.05, omega=(eps, eps, 0.1), spacing=1)
-            got = np.abs(weak_field_uge(wc, taus)) ** 2
+            cfg = ModeConfig(j=1, m=(0, 1, 2), omega=(eps, eps, 0.1), delta0=2.05)
+            got = np.abs(weak_field_uge(cfg, taus)) ** 2
             assert np.max(np.abs(got - ref)) < 40 * eps
 
     def test_resonant_lower_mode_rejected(self):
-        wc = WeakFieldConfig(delta0=1.0, omega=(0.05, 0.05, 0.05), spacing=1)
-        with pytest.raises(ValueError):
-            weak_field_uge(wc, np.linspace(0, 1, 5))
+        for m, delta0 in (((0, 1, 2), 1.0), ((0, 2, 3), 2.0)):
+            with pytest.warns(ResonanceOrderWarning):
+                cfg = ModeConfig(j=1, m=m, omega=(0.05,) * 3, delta0=delta0)
+            with pytest.raises(ValueError, match="resonant"):
+                weak_field_uge(cfg, np.linspace(0, 1, 5))
 
     def test_midcycle_unit_transfer_ten_modes(self):
         om = 1 / 7
-        wc = WeakFieldConfig(delta0=9.0, omega=(om,) * 10, spacing=1)
+        cfg = ModeConfig(j=1, m=tuple(range(10)), omega=(om,) * 10, delta0=9.0)
         taus = np.array([math.pi / om])  # half a resonant rotation
-        assert abs(weak_field_uge(wc, taus)[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(weak_field_uge(cfg, taus)[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
