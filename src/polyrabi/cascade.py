@@ -54,7 +54,7 @@ class DegenerateStageError(ValueError):
     """A dressing stage with vanishing generalized Rabi frequency was requested."""
 
 
-class ChiExtractionError(RuntimeError):
+class ChiExtractionError(ValueError):
     """The static resonant coupling expected at the next mode is missing."""
 
 
@@ -106,7 +106,7 @@ class ModeConfig:
                 "highest; modes are dressed in resonance order, nearest last, "
                 "so the cascade stages are out of offset order",
                 ResonanceOrderWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at the caller
             )
 
     @property
@@ -277,7 +277,7 @@ def build_M(p: StageParams) -> TermMatrix:
     if p.rabi == 0.0:
         raise DegenerateStageError(f"stage {p.k}: zero detuning and zero coupling")
     w = stage_unitary(p, p.dm_next)
-    return tuple(row[1:] for row in sandwich(dagger(w), w)[1:])
+    return sandwich(dagger(w), w, rows=range(1, 4), cols=range(1, 4))
 
 
 def next_stage(

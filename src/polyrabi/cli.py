@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import ModeConfig, run_cascade
-from .closed_forms import two_mode_u0, weak_field_uge
+from .closed_forms import resonant_lower_mode, two_mode_u0, weak_field_uge
 from .field_state import gamma_weights, weighted_pe
 from .oracle import build_hamiltonian, compare, evolve, min_halfwidth
 from .propagator import PeSeries, excitation_probability, undress
@@ -93,7 +93,7 @@ class Experiment:
         out = ["cascade"]
         if self.config.n_modes == 2:
             out.append("two_mode")
-        if self.weights is None:
+        if self.weights is None and resonant_lower_mode(self.config) is None:
             out.append("weak_field")
         out.append("oracle")
         return tuple(out)
@@ -289,11 +289,14 @@ def _analytic_series(exp: Experiment, engine: str, taus: np.ndarray) -> PeSeries
         amp = weak_field_uge(cfg, taus)
         return PeSeries(tau=taus, values=np.abs(amp) ** 2)
     u0 = two_mode_u0(cfg) if engine == "two_mode" else undress(run_cascade(cfg))
-    full = excitation_probability(u0, taus, channels=exp.channels)
-    if exp.weights is not None:
-        weighted = weighted_pe(u0, gamma_weights(exp.weights, exp.weight_window), taus)
-        return PeSeries(tau=taus, values=weighted.values, channels=full.channels)
-    return full
+    if exp.weights is None:
+        return excitation_probability(u0, taus, channels=exp.channels)
+    # the weighted run's channels come from the same shift amplitudes
+    weighted = weighted_pe(u0, gamma_weights(exp.weights, exp.weight_window), taus)
+    channels = None
+    if exp.channels:
+        channels = {s: weighted.channels.get(s, np.zeros(taus.shape)) for s in exp.channels}
+    return PeSeries(tau=taus, values=weighted.values, channels=channels)
 
 
 def run(exp: Experiment, outdir: Path) -> RunResult:

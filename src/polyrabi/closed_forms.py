@@ -20,6 +20,7 @@ from .terms import TermSum
 __all__ = [
     "WeakFieldWarning",
     "two_mode_u0",
+    "resonant_lower_mode",
     "weak_field_uge",
     "single_mode_rabi",
 ]
@@ -103,6 +104,23 @@ def two_mode_u0(cfg: ModeConfig) -> PropagatorComponents:
     return PropagatorComponents(u=(u_id, u_z, u_plus, u_minus))
 
 
+def _smallest_gap(cfg: ModeConfig) -> int:
+    return min((b - a for a, b in zip(cfg.m, cfg.m[1:])), default=1)
+
+
+def resonant_lower_mode(cfg: ModeConfig) -> int | None:
+    """The first mode below the highest that :func:`weak_field_uge` cannot expand.
+
+    Its 1-based index, when its detuning ``delta0 - m_k`` is under 1e-9x
+    the smallest offset gap; otherwise None.
+    """
+    gap = _smallest_gap(cfg)
+    for k, mk in enumerate(cfg.m[:-1], start=1):
+        if abs(cfg.delta0 - mk) < 1e-9 * gap:
+            return k
+    return None
+
+
 def weak_field_uge(cfg: ModeConfig, taugrid: np.ndarray) -> np.ndarray:
     """Up-down transition amplitude for a weak comb.
 
@@ -114,12 +132,17 @@ def weak_field_uge(cfg: ModeConfig, taugrid: np.ndarray) -> np.ndarray:
     the whole amplitude carries the phase ``exp(-i*m_N*tau/2)``; the
     relative exponents reduce exactly to the two-mode solution at N=2.
     Warns (:class:`WeakFieldWarning`) when a coupling exceeds 0.3x the
-    smallest gap (1 for a single mode); a lower mode closer to resonance
-    than 1e-9x that gap is rejected.
+    smallest gap (1 for a single mode); a resonant lower mode
+    (:func:`resonant_lower_mode`) is rejected.
     """
     taugrid = np.asarray(taugrid, dtype=float)
-    gap = min((b - a for a, b in zip(cfg.m, cfg.m[1:])), default=1)
-    if max(abs(x) for x in cfg.omega) > 0.3 * gap:
+    k = resonant_lower_mode(cfg)
+    if k is not None:
+        raise ValueError(
+            f"mode {k} is resonant (detuning {cfg.delta0 - cfg.m[k - 1]:g}); the "
+            "weak-field expansion requires off-resonant lower modes"
+        )
+    if max(abs(x) for x in cfg.omega) > 0.3 * _smallest_gap(cfg):
         warnings.warn(
             "mode couplings exceed 0.3x the smallest offset gap; the "
             "weak-field amplitude is only second-order accurate",
@@ -142,13 +165,8 @@ def weak_field_uge(cfg: ModeConfig, taugrid: np.ndarray) -> np.ndarray:
     carrier = np.exp(-1j * m_last * theta_h)
 
     out = (-1j * xn) * carrier * s
-    for k, (mk, om) in enumerate(zip(cfg.m[:-1], cfg.omega[:-1]), start=1):
+    for mk, om in zip(cfg.m[:-1], cfg.omega[:-1]):
         d_k = cfg.delta0 - mk
-        if abs(d_k) < 1e-9 * gap:
-            raise ValueError(
-                f"mode {k} is resonant (detuning {d_k:g}); the weak-field "
-                "expansion requires off-resonant lower modes"
-            )
         out = out + (0.5 * (om / d_k)) * (
             np.exp(1j * (m_last - 2 * mk) * theta_h) * f_minus + carrier * f_plus
         )

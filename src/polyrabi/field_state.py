@@ -83,19 +83,22 @@ def gamma_weights(alpha, window: int) -> FieldWeights:
 def _shift_amplitudes(
     source: PropagatorComponents | OracleRun, taugrid: np.ndarray
 ) -> tuple[list[int], np.ndarray]:
-    """Comb-frame channel amplitudes, one row per ladder shift."""
+    """Comb-frame channel amplitudes, one row per ladder shift.
+
+    For a propagator, every sigma_+ shift group is traced in one pass
+    (:meth:`~polyrabi.terms.TermSum.trace_by_shift`), each row correctly
+    rounded from the group's raw terms.
+    """
     if isinstance(source, PropagatorComponents):
-        groups = source.sigma_plus.by_shift()
-        shifts = sorted(groups)
-        rows = [groups[s].trace_evaluate_many(taugrid) for s in shifts]
-    else:
-        if not np.array_equal(np.asarray(taugrid, dtype=float), source.tau):
-            raise ValueError("taugrid must match the oracle run's grid")
-        shifts = [int(-n) for n in source.basis.sites[::-1]]
-        rows = [source.shift_amplitude(s) for s in shifts]
-        keep = [i for i, r in enumerate(rows) if np.max(np.abs(r)) > 1e-14]
-        shifts = [shifts[i] for i in keep]
-        rows = [rows[i] for i in keep]
+        shifts, rows = source.sigma_plus.trace_by_shift(taugrid)
+        return list(shifts), rows
+    if not np.array_equal(np.asarray(taugrid, dtype=float), source.tau):
+        raise ValueError("taugrid must match the oracle run's grid")
+    shifts = [int(-n) for n in source.basis.sites[::-1]]
+    rows = [source.shift_amplitude(s) for s in shifts]
+    keep = [i for i, r in enumerate(rows) if np.max(np.abs(r)) > 1e-14]
+    shifts = [shifts[i] for i in keep]
+    rows = [rows[i] for i in keep]
     return shifts, np.array(rows) if rows else np.zeros((0, len(taugrid)), complex)
 
 
@@ -110,6 +113,9 @@ def weighted_pe(
     gamma(N + shift) of the initial level they came from, and the per-level
     probabilities are added.  Flat weights are the plain traced probability
     (:func:`~polyrabi.propagator.excitation_probability`, ``OracleRun.pe``).
+    The weights sum to one over the levels, so the probability of each
+    channel does not depend on them: ``channels`` holds |c_s|^2 for every
+    shift s present, from the same amplitudes.
     """
     taugrid = np.asarray(taugrid, dtype=float)
     shifts, rows = _shift_amplitudes(source, taugrid)
@@ -120,7 +126,7 @@ def weighted_pe(
                 "weight window plus channel reach exceeds the oracle lattice"
             )
     if not shifts:
-        return PeSeries(tau=taugrid, values=np.zeros(taugrid.shape))
+        return PeSeries(tau=taugrid, values=np.zeros(taugrid.shape), channels={})
 
     # Final levels extend one channel reach past the initial-level window.
     finals = np.arange(weights.levels[0] - reach, weights.levels[-1] + reach + 1)
@@ -128,4 +134,5 @@ def weighted_pe(
     gam = np.stack([weights.gamma(finals + s) for s in shifts], axis=1)
     inner = gam @ rows  # (finals, tau)
     values = np.sum(np.abs(inner) ** 2, axis=0)
-    return PeSeries(tau=taugrid, values=values)
+    channels = dict(zip(shifts, np.abs(rows) ** 2))
+    return PeSeries(tau=taugrid, values=values, channels=channels)

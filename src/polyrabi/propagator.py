@@ -90,7 +90,7 @@ def dressed_propagator(p: StageParams) -> PropagatorComponents:
     displacement.  A stage with zero rabi frequency evolves trivially
     (identity).
     """
-    u = sandwich(stage_unitary(p, p.splitting), dagger(stage_unitary(p, 0.0)))
+    u = sandwich(stage_unitary(p, p.splitting), dagger(stage_unitary(p, 0.0)), cols=(0,))
     return PropagatorComponents(u=tuple(row[0] for row in u))
 
 
@@ -129,22 +129,19 @@ def excitation_probability(
     """Upper-state population over a time grid.
 
     P_e(tau) = |trace(u_sigma_plus) evaluated at tau|^2.  With ``channels``
-    a non-empty list of shifts, per-shift probabilities are also computed by
-    evaluating each shift group separately before tracing (absent shifts
-    yield zeros).  The total is the squared modulus of the coherent sum
-    over channels.
+    a non-empty list of shifts, per-shift probabilities are also computed,
+    all from one evaluation of every shift group before tracing
+    (:meth:`~polyrabi.terms.TermSum.trace_by_shift`; absent shifts yield
+    zeros).  The total is the squared modulus of the coherent sum over
+    channels.  Every traced value is correctly rounded from the raw terms,
+    so P_e(0) == 0.0 exactly.
     """
     taugrid = np.asarray(taugrid, dtype=float)
-    amp = u0.sigma_plus.trace_evaluate_many(taugrid)
-    values = np.abs(amp) ** 2
+    plus = u0.sigma_plus
+    values = np.abs(plus.trace_evaluate_many(taugrid)) ** 2
     chan: dict[int, np.ndarray] | None = None
     if channels:
-        groups = u0.sigma_plus.by_shift()
-        chan = {}
-        for s in channels:
-            g = groups.get(int(s))
-            if g is None:
-                chan[int(s)] = np.zeros(taugrid.shape)
-            else:
-                chan[int(s)] = np.abs(g.trace_evaluate_many(taugrid)) ** 2
+        shifts, rows = plus.trace_by_shift(taugrid)
+        probs = dict(zip(shifts, np.abs(rows) ** 2))
+        chan = {int(s): probs.get(int(s), np.zeros(taugrid.shape)) for s in channels}
     return PeSeries(tau=taugrid, values=values, channels=chan)

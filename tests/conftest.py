@@ -38,3 +38,23 @@ def termwise_dev(a, b):
     """
     keys = {(t.halffreq, t.shift) for t in (*a, *b)}
     return max((abs(a.amp_at(f, s) - b.amp_at(f, s)) for f, s in keys), default=0.0)
+
+
+def fsum_trace(ts, taus):
+    """Reference trace: each point's addends summed by ``math.fsum``.
+
+    The addends are computed as the evaluation computes them; the loop over
+    points is the reference the vectorized exact sum must equal bit for bit.
+    """
+    amps = np.array([t.amp for t in ts])
+    freqs = np.array([t.halffreq for t in ts])
+    contrib = amps[None, :] * np.exp(0.5j * np.outer(taus, freqs))
+    return np.array(
+        [complex(math.fsum(r), math.fsum(i)) for r, i in zip(contrib.real, contrib.imag)],
+        dtype=complex,
+    ).reshape(len(taus))
+
+
+def bits(x):
+    """The float64 bit patterns of a real or complex array, for exact comparison."""
+    return np.ascontiguousarray(x).view(np.int64)

@@ -49,8 +49,10 @@ class TestModeConfig:
             ModeConfig(j=1, m=(0, 2), omega=omega, delta0=delta0)
 
     def test_resonance_order_warning(self):
-        with pytest.warns(ResonanceOrderWarning):
+        with pytest.warns(ResonanceOrderWarning) as caught:
             ModeConfig(j=1, m=(0, 1, 2), omega=(1 / 7,) * 3, delta0=6 / 7)
+        # reported at the line that built the config, not in the dataclass
+        assert caught[0].filename == __file__
 
     def test_tie_does_not_warn(self, recwarn):
         # fig1 detuning sits exactly between both modes

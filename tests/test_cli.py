@@ -132,6 +132,18 @@ class TestRun:
         doc = json.loads((tmp_path / "t_config.json").read_text())
         assert load_experiment(doc) == exp
 
+    def test_weighted_channels_equal_flat_channels(self, tmp_path):
+        # a weighted run writes the flat per-channel split, from one evaluation
+        run(small_fig1(tmp_path, engine="cascade", channels=(1, 3, -1, 8)), tmp_path / "f")
+        weighted = small_fig1(tmp_path, engine="cascade", channels=(1, 3, -1, 8), weights=(4.0,))
+        run(weighted, tmp_path / "w")
+        flat = read_series_csv(tmp_path / "f" / "t_cascade.csv")
+        got = read_series_csv(tmp_path / "w" / "t_cascade.csv")
+        assert list(got.channels) == [1, 3, -1, 8]
+        for s in (1, 3, -1, 8):
+            assert np.array_equal(got.channels[s], flat.channels[s])
+        assert not np.array_equal(got.values, flat.values)
+
     def test_gaussian_weights_pipeline(self, tmp_path):
         exp = small_fig1(
             tmp_path, engine="cascade", weights=(12.0 + 0.0j,), weight_window=80
@@ -230,6 +242,32 @@ class TestMain:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
         return path
+
+    def test_all_skips_weak_field_at_a_resonant_lower_mode(self, tmp_path, capsys):
+        # weak_field cannot expand about mode 2 (detuning 0); cascade and oracle can
+        config = {"j": 1, "m": [0, 1, 2], "omega": [[0.05, 0]] * 3, "delta0": 1.0}
+        cfg_path = self._fig1_doc(tmp_path, config=config)
+        with pytest.warns(UserWarning):  # mode 2 is nearer resonance than mode 3
+            assert main(["--config", str(cfg_path), "--out", str(tmp_path / "all")]) == 0
+        names = {p.name for p in (tmp_path / "all").iterdir()}
+        assert names == {
+            "run_config.json",
+            "run_cascade.csv",
+            "run_oracle.csv",
+            "run_compare_cascade.json",
+        }
+        with pytest.warns(UserWarning):
+            err = self._rejected_before_output(
+                tmp_path, capsys, ["--config", str(cfg_path), "--engine", "weak_field"]
+            )
+        assert "mode 2 is resonant" in err["error"]
+
+    def test_missing_static_coupling_rejected(self, tmp_path, capsys):
+        # a coupling below the drop threshold leaves no static term to dress
+        config = {"j": 1, "m": [0, 1], "omega": [[0.1, 0], [1e-15, 0]], "delta0": 1.0}
+        cfg_path = self._fig1_doc(tmp_path, config=config, engine="cascade")
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "no static sigma_+ term" in err["error"]
 
     def test_window_zero_override_rejected(self, tmp_path, capsys):
         # a zero window is an override like any other, not "no override"

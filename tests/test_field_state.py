@@ -5,9 +5,16 @@ import pytest
 
 from polyrabi.cascade import ModeConfig, run_cascade
 from polyrabi.cli import Experiment, read_series_csv, run
-from polyrabi.field_state import WindowOverflowError, gamma_weights, weighted_pe
+from polyrabi.field_state import (
+    WindowOverflowError,
+    _shift_amplitudes,
+    gamma_weights,
+    weighted_pe,
+)
 from polyrabi.oracle import build_hamiltonian, evolve
 from polyrabi.propagator import excitation_probability, undress
+
+from conftest import bits, fsum_trace
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +55,23 @@ class TestWeightedPe:
         plain = excitation_probability(fig1_u0, exp.taugrid())
         flat = read_series_csv(tmp_path / "flat_cascade.csv")
         assert np.array_equal(plain.values, flat.values)
+
+    def test_shift_rows_equal_fsum_of_each_group(self):
+        # one pass over every shift group equals the group-by-group fsum
+        cfg = ModeConfig(j=1, m=(0, 1, 2), omega=(0.1, 0.07 - 0.1j, 0.15j), delta0=2.2)
+        u0 = undress(run_cascade(cfg))
+        taus = np.linspace(0, 4 * math.pi, 301)
+        shifts, rows = _shift_amplitudes(u0, taus)
+        groups = u0.sigma_plus.by_shift()
+        assert shifts == sorted(groups)
+        for s, row in zip(shifts, rows):
+            assert np.array_equal(bits(row), bits(fsum_trace(groups[s], taus)))
+        # the channels come from the same rows, so they equal the flat split
+        got = weighted_pe(u0, gamma_weights([3.0, 1.5j], 40), taus)
+        flat = excitation_probability(u0, taus, channels=shifts)
+        assert got.channels.keys() == flat.channels.keys()
+        for s in shifts:
+            assert np.array_equal(bits(got.channels[s]), bits(flat.channels[s]))
 
     def test_wide_gaussian_converges_to_flat(self, fig1_u0):
         taus = np.linspace(0, 4 * math.pi, 300)

@@ -15,7 +15,7 @@ from polyrabi.propagator import (
 )
 from polyrabi.terms import TermSum
 
-from conftest import dominant_peak, termwise_dev
+from conftest import bits, dominant_peak, fsum_trace, termwise_dev
 
 
 @st.composite
@@ -200,6 +200,27 @@ class TestExcitationProbability:
         assert np.allclose(np.abs(total) ** 2, pe.values, atol=1e-14)
         for s, a in amps.items():
             assert np.array_equal(pe.channels[s], np.abs(a) ** 2)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0),
+            ModeConfig(j=2, m=(0, 1, 2, 3), omega=(0.1, 0.12 + 0.05j, -0.08j, 0.1), delta0=3.3),
+        ],
+        ids=["fig1", "n4_complex"],
+    )
+    def test_one_pass_equals_fsum_of_each_group(self, cfg):
+        # the total and every channel equal the group-by-group fsum, bit for bit
+        u0 = undress(run_cascade(cfg))
+        plus = u0.sigma_plus
+        taus = np.linspace(0, 4 * math.pi, 257)
+        groups = plus.by_shift()
+        pe = excitation_probability(u0, taus, channels=[*groups, 99])
+        assert np.array_equal(bits(pe.values), bits(np.abs(fsum_trace(plus, taus)) ** 2))
+        assert pe.values[0] == 0.0
+        for s, g in groups.items():
+            assert np.array_equal(bits(pe.channels[s]), bits(np.abs(fsum_trace(g, taus)) ** 2))
+        assert np.array_equal(pe.channels[99], np.zeros(len(taus)))
 
     def test_channel_list_and_missing_channel(self):
         cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polyrabi.terms import (
     Term,
     TermSum,
     term_mul,
     dagger,
+    exact_sum,
     mat_vec,
     sandwich,
 )
 
-from conftest import termwise_dev
+from conftest import bits, fsum_trace, termwise_dev
 
 
 def random_term(rng):
@@ -146,6 +148,95 @@ class TestFieldTrace:
             lhs = (a + b).trace_evaluate_many(taus)
             rhs = a.trace_evaluate_many(taus) + b.trace_evaluate_many(taus)
             assert np.allclose(lhs, rhs, rtol=0, atol=1e-13)
+
+
+def fsum_columns(x):
+    return np.array([math.fsum(c) for c in x.reshape(len(x), -1).T]).reshape(x.shape[1:])
+
+
+def hard_columns(rng, k, n):
+    """n columns of k addends drawn from sums that are hard to round."""
+    kind = rng.integers(0, 6)
+    if kind == 0:  # exponents from 1e-35 to 1e5
+        return rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-35, 5, size=(k, n))
+    if kind == 1:  # exact cancellation: every addend and its negative, shuffled
+        a = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-20, 5, size=(k, n))
+        return rng.permuted(np.concatenate([a, -a]), axis=0)
+    if kind == 2:  # a rounding midpoint of the leading pair, broken or not by tiny tails
+        x = np.zeros((k + 2, n))
+        x[0] = rng.choice([1.0, -1.0, 3.0, 0.75], size=n)
+        x[1] = x[0] * 2.0**-53 * rng.choice([1, -1, 3], size=n)
+        x[2:] = rng.choice([0.0, 1.0, -1.0], size=(k, n)) * 2.0 ** rng.integers(
+            -120, -100, size=(k, n)
+        )
+        return rng.permuted(x, axis=0)
+    if kind == 3:  # signed zeros, all-zero columns, the smallest subnormals
+        return rng.choice([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324], size=(k, n))
+    if kind == 4:  # few similar integers on a fine grid: sums often land on midpoints
+        scale = 2.0 ** rng.integers(-60, -40, size=(1, n))
+        return rng.integers(-(2**20), 2**20, size=(k, n)) * scale
+    a = rng.normal(size=(k, n))  # near-total cancellation plus a tiny remainder
+    return np.concatenate([a, -a.sum(axis=0)[None], rng.normal(size=(1, n)) * 1e-25])
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13, 64, 255, 2000])
+    def test_equals_fsum_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        n = 60 if k < 100 else 6
+        for _ in range(24):
+            x = np.ascontiguousarray(hard_columns(rng, k, n))
+            assert np.array_equal(bits(exact_sum(x)), bits(fsum_columns(x)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_midpoint_decided_by_the_residue(self, sign):
+        # 1 + 2^-53 is a tie that rounds to 1; a residue of 2^-106 below
+        # every tree level decides it, so only exact arithmetic gets it right
+        tail = np.array([2.0**-106, -(2.0**-106), 0.0])
+        x = np.array([[1.0] * 3, [2.0**-53] * 3, tail]) * sign
+        want = np.array([1.0 + 2.0**-52, 1.0, 1.0]) * sign
+        assert np.array_equal(exact_sum(x), want)
+        assert np.array_equal(bits(exact_sum(x)), bits(fsum_columns(x)))
+
+    def test_shapes_and_zeros(self):
+        assert exact_sum(np.zeros((0, 3))).shape == (3,)
+        for x in ([[-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0]], [[-0.0, -0.0, 0.0]]):
+            got = exact_sum(np.array(x))
+            assert np.array_equal(bits(got), bits(np.zeros(3)))  # never -0.0, like fsum
+        x = np.random.default_rng(9).normal(size=(5, 2, 3))
+        assert np.array_equal(exact_sum(x), fsum_columns(x))
+
+    @given(
+        st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_any_list(self, xs):
+        got = exact_sum(np.array(xs)[:, None])[0]
+        assert got.hex() == math.fsum(xs).hex()
+
+
+class TestTraceByShift:
+    def test_rows_equal_fsum_of_each_group(self):
+        rng = np.random.default_rng(11)
+        taus = np.linspace(0, 9, 41)
+        for n in (1, 2, 6, 25):
+            ts = random_sum(rng, n)
+            # a group that cancels exactly at tau = 0
+            ts = ts + TermSum([Term(0.3 - 0.2j, 1.5, 7), Term(-0.3 + 0.2j, -2.5, 7)])
+            shifts, rows = ts.trace_by_shift(taus)
+            groups = ts.by_shift()
+            assert shifts == ts.shifts()
+            for s, row in zip(shifts, rows):
+                assert np.array_equal(bits(row), bits(fsum_trace(groups[s], taus)))
+            assert np.array_equal(bits(ts.trace_evaluate_many(taus)), bits(fsum_trace(ts, taus)))
+            assert rows[shifts.index(7)][0] == 0.0
+
+    def test_empty(self):
+        shifts, rows = TermSum.zero().trace_by_shift(np.linspace(0, 1, 4))
+        assert shifts == () and rows.shape == (0, 4) and rows.dtype == complex
 
 
 class TestStructure:
