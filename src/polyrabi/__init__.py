@@ -18,7 +18,6 @@ dimensionless (base frequency times seconds).
 from .terms import (
     Term,
     TermSum,
-    term_mul,
     mat_vec,
     dagger,
     sandwich,

@@ -29,6 +29,9 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .terms import Term, TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich
 
@@ -123,7 +126,7 @@ class ModeConfig:
         """Ladder displacement carried by each mode's lowering operator."""
         return tuple(self.j + mk for mk in self.m)
 
-    @property
+    @cached_property
     def dressing_order(self) -> tuple[int, ...]:
         """Mode indices in the order the cascade dresses them.
 
@@ -342,28 +345,28 @@ def run_cascade(cfg: ModeConfig) -> CascadeResult:
         stages.insert(0, anchor)
 
     final = stages[-1]
-    kept = {
-        0: (0.0, 0),
-        1: (0.0, final.mode_shift),
-        2: (0.0, -final.mode_shift),
-    }
     chi_mag = abs(final.chi)
-    dropped = []
-    for idx, comp in enumerate(v):
-        keep_f, keep_s = kept[idx]
-        for t in comp:
-            if t.shift == keep_s and abs(t.halffreq - keep_f) <= 1e-12:
-                continue
-            mag = abs(t.amp)
-            dropped.append(
-                TruncatedTerm(
-                    component=_COMPONENT_NAMES[idx],
-                    halffreq=t.halffreq,
-                    shift=t.shift,
-                    magnitude=mag,
-                    relative=mag / chi_mag if chi_mag else math.inf,
-                )
-            )
+    # kept: the constant sigma_z term and the static sigma_+- pair of the final mode
+    comp = np.repeat(np.arange(3), [len(c) for c in v])
+    f = np.concatenate([c.halffreq for c in v])
+    s = np.concatenate([c.shift for c in v])
+    amp = np.concatenate([c.amp for c in v])
+    drop = (s != np.array([0, final.mode_shift, -final.mode_shift])[comp]) | (np.abs(f) > 1e-12)
+    dropped = [
+        TruncatedTerm(
+            component=_COMPONENT_NAMES[idx],
+            halffreq=hf,
+            shift=sh,
+            magnitude=mag,
+            relative=mag / chi_mag if chi_mag else math.inf,
+        )
+        for idx, hf, sh, mag in zip(
+            comp[drop].tolist(),
+            f[drop].tolist(),
+            s[drop].tolist(),
+            np.hypot(amp.real, amp.imag)[drop].tolist(),
+        )
+    ]
     return CascadeResult(
         config=cfg,
         stages=tuple(stages),

@@ -170,6 +170,13 @@ def _complex_pair(x) -> complex:
     raise ConfigError(f"expected [re, im] pair, got {x!r}")
 
 
+def _json_object(doc: dict, key: str, default: dict) -> dict:
+    value = doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def load_experiment(doc: dict) -> Experiment:
     """Build an Experiment from its JSON document form."""
     try:
@@ -180,8 +187,8 @@ def load_experiment(doc: dict) -> Experiment:
             omega=tuple(_complex_pair(x) for x in cfg["omega"]),
             delta0=float(cfg["delta0"]),
         )
-        tau = doc.get("tau", {})
-        weights = doc.get("weights", {"kind": "flat"})
+        tau = _json_object(doc, "tau", {})
+        weights = _json_object(doc, "weights", {"kind": "flat"})
         if weights.get("kind", "flat") == "flat":
             alphas = None
             wwin = 60
@@ -240,21 +247,20 @@ def experiment_to_dict(exp: Experiment) -> dict:
 # -- series IO ------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_series_csv(path: Path, series: PeSeries, channel_order=None) -> None:
+    """Write a series as CSV, every value as the ``repr`` of its float.
+
+    Each column is formatted in one pass; ``repr`` gives the shortest string
+    that reads back to the same double.
+    """
     cols = []
     if series.channels:
         cols = list(channel_order) if channel_order else sorted(series.channels)
+    columns = [series.tau, series.values, *(series.channels[s] for s in cols)]
+    text = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    header = "tau,pe" + "".join(f",channel_{s}" for s in cols)
     with open(path, "w") as fh:
-        header = "tau,pe" + "".join(f",channel_{s}" for s in cols)
-        fh.write(header + "\n")
-        for i, t in enumerate(series.tau):
-            row = [_fmt(t), _fmt(series.values[i])]
-            row += [_fmt(series.channels[s][i]) for s in cols]
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*text)), ""]))
 
 
 def read_series_csv(path: Path) -> PeSeries:

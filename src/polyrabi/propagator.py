@@ -4,11 +4,12 @@ The fully dressed evolution is a bare two-level rotation at the final
 generalized Rabi frequency.  It is written as a 4-vector of
 :class:`~polyrabi.terms.TermSum` coefficients over ``(1, sigma_z, sigma_+,
 sigma_-)`` and pulled back to the lab frame by one 4x4 transfer matrix per
-dressing stage, applied right-to-left with canonicalization after each
-product so the term count stays bounded.  The transfer matrices and the
-final rotation are not written out: each is the map U -> A U B of two
-stage unitaries (:func:`~polyrabi.cascade.stage_unitary`), taken to the
-4-vector basis by :func:`~polyrabi.terms.sandwich`.
+dressing stage, applied right-to-left; each product is canonicalized once
+from all of its raw term products, so the term count stays bounded.  The
+transfer matrices and the final rotation are not written out: each is the
+map U -> A U B of two stage unitaries
+(:func:`~polyrabi.cascade.stage_unitary`), taken to the 4-vector basis by
+:func:`~polyrabi.terms.sandwich`.
 
 The excitation probability is the squared modulus of the sigma_+ component
 after the equal-weight partial trace over the field lattice; grouping the
@@ -130,18 +131,18 @@ def excitation_probability(
 
     P_e(tau) = |trace(u_sigma_plus) evaluated at tau|^2.  With ``channels``
     a non-empty list of shifts, per-shift probabilities are also computed,
-    all from one evaluation of every shift group before tracing
-    (:meth:`~polyrabi.terms.TermSum.trace_by_shift`; absent shifts yield
+    every shift group and the total from one evaluation of the terms
+    (:meth:`~polyrabi.terms.TermSum.trace_with_shifts`; absent shifts yield
     zeros).  The total is the squared modulus of the coherent sum over
     channels.  Every traced value is correctly rounded from the raw terms,
     so P_e(0) == 0.0 exactly.
     """
     taugrid = np.asarray(taugrid, dtype=float)
     plus = u0.sigma_plus
-    values = np.abs(plus.trace_evaluate_many(taugrid)) ** 2
-    chan: dict[int, np.ndarray] | None = None
-    if channels:
-        shifts, rows = plus.trace_by_shift(taugrid)
-        probs = dict(zip(shifts, np.abs(rows) ** 2))
-        chan = {int(s): probs.get(int(s), np.zeros(taugrid.shape)) for s in channels}
-    return PeSeries(tau=taugrid, values=values, channels=chan)
+    if not channels:
+        values = np.abs(plus.trace_evaluate_many(taugrid)) ** 2
+        return PeSeries(tau=taugrid, values=values)
+    total, shifts, rows = plus.trace_with_shifts(taugrid)
+    probs = dict(zip(shifts, np.abs(rows) ** 2))
+    chan = {int(s): probs.get(int(s), np.zeros(taugrid.shape)) for s in channels}
+    return PeSeries(tau=taugrid, values=np.abs(total) ** 2, channels=chan)

@@ -13,11 +13,20 @@ Negative ``s`` is a raising displacement (``b_{-n} = b_n^dag`` in the
 mean-field lattice), which makes counter-rotating mode configurations
 first-class citizens of the algebra.
 
-Sums are kept canonical: like-keyed terms merged, half-frequency keys within
-``FREQ_MERGE_TOL`` identified, amplitudes below ``AMP_DROP_TOL`` removed.
+A :class:`TermSum` stores its terms as three parallel arrays (``amp``,
+``halffreq``, ``shift``) and is kept canonical: sorted by (shift,
+halffreq), terms whose half-frequencies lie within ``FREQ_MERGE_TOL`` of
+their group's first merged into one, amplitudes at or below
+``AMP_DROP_TOL`` removed.  A result is canonicalized once, from all of its
+raw term products: one ``np.lexsort``, then each merged group summed by
+:func:`exact_sum`, equal to ``math.fsum`` of the group bit for bit, so a
+group whose true sum is zero cancels exactly.  Products are formed with
+separate real multiplies and adds, as Python's complex product forms them
+(numpy's complex multiply may fuse them and round differently).
 Spin operators are 2x2 matrices of sums over (up, down); :func:`sandwich`
 turns a pair of them into the 4x4 transfer matrix of X -> a.X.b over the
-coefficient basis (1, sigma_z, sigma_+, sigma_-).
+coefficient basis (1, sigma_z, sigma_+, sigma_-).  :func:`mat_vec` and
+:func:`sandwich` build every entry they return in one such pass.
 All values are immutable; every operation returns a new object.
 
 A sum is evaluated on a time grid with its shifts traced out (read as
@@ -31,6 +40,7 @@ certify the rounding.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -42,7 +52,6 @@ __all__ = [
     "TermSum",
     "TermMatrix",
     "TermVector",
-    "term_mul",
     "mat_vec",
     "exact_sum",
     "dagger",
@@ -64,55 +73,152 @@ class Term(NamedTuple):
     shift: int
 
 
-def term_mul(a: Term, b: Term) -> Term:
-    """Product of two terms: amplitudes multiply, phases and shifts add."""
-    return Term(a.amp * b.amp, a.halffreq + b.halffreq, a.shift + b.shift)
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _merge_sorted(terms: list[Term]) -> tuple[Term, ...]:
-    """Merge a (shift, halffreq)-sorted term list into canonical form.
+def _cmul(a, b) -> np.ndarray:
+    """Complex product with each real multiply and add rounded on its own."""
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    Group amplitudes are combined with ``math.fsum`` so that a group whose
-    true sum is exactly zero cancels exactly, independent of addend order.
-    The analytic excitation probability at tau=0 relies on this.
+
+def _anchor_starts(f: np.ndarray, starts: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """Split runs wider than the tolerance into groups anchored at their first key.
+
+    ``starts`` opens every run of keys each within ``FREQ_MERGE_TOL`` of the
+    one before; ``wide`` indexes the runs whose first and last keys are
+    not.  A new group opens at the first key past the tolerance from its
+    group's first key, as a walk through the sorted keys would open it.
     """
-    out: list[Term] = []
-    i = 0
-    n = len(terms)
-    while i < n:
-        shift = terms[i].shift
-        freq = terms[i].halffreq
-        j = i + 1
-        while j < n and terms[j].shift == shift and terms[j].halffreq - freq <= FREQ_MERGE_TOL:
-            j += 1
-        if j == i + 1:
-            amp = terms[i].amp
-        else:
-            amp = complex(
-                math.fsum(t.amp.real for t in terms[i:j]),
-                math.fsum(t.amp.imag for t in terms[i:j]),
-            )
-        if abs(amp) > AMP_DROP_TOL:
-            out.append(Term(amp, freq, shift))
-        i = j
-    return tuple(out)
+    ends = [*starts[1:].tolist(), len(f)]
+    extra = []
+    for g in wide.tolist():
+        a, b = int(starts[g]), ends[g]
+        keys = f[a:b].tolist()
+        anchor = keys[0]
+        for i, key in enumerate(keys[1:], start=a + 1):
+            if key - anchor > FREQ_MERGE_TOL:
+                extra.append(i)
+                anchor = key
+    return np.sort(np.concatenate((starts, extra)).astype(np.intp))
+
+
+# Up to this many merged groups, summing each by ``math.fsum`` directly is
+# cheaper than the fixed cost of the exact_sum trees; both give the same bits.
+_FSUM_GROUPS = 32
+
+
+def _group_sums(amp: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each group's amplitude: its one term untouched, or the exact sum of its terms.
+
+    The terms of the groups with more than one are laid out zero-padded in
+    a (slot, group) array and summed along the slots by :func:`exact_sum`
+    (a few groups go straight to ``math.fsum``).
+    """
+    sizes = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = len(amp) - starts[-1]
+    out = amp[starts]
+    multi = (sizes > 1).nonzero()[0]
+    if len(multi) > _FSUM_GROUPS:
+        k = sizes[multi]
+        group = np.arange(len(multi)).repeat(k)
+        slot = np.arange(len(group)) - (k.cumsum() - k)[group]
+        padded = np.zeros((k.max(), len(multi), 2))
+        padded[slot, group] = amp.view(float).reshape(-1, 2)[starts[multi][group] + slot]
+        out[multi] = exact_sum(padded).view(complex)[:, 0]
+    elif len(multi):
+        re, im = amp.real.tolist(), amp.imag.tolist()
+        bounds = [*starts.tolist(), len(amp)]
+        out[multi] = [
+            complex(math.fsum(re[a:b]), math.fsum(im[a:b]))
+            for a, b in ((bounds[g], bounds[g + 1]) for g in multi.tolist())
+        ]
+    return out
+
+
+def _canonical(amp, f, s, key=None):
+    """Canonical arrays of a raw term list, optionally partitioned by ``key``.
+
+    Sorts by (key, shift, halffreq) with a stable sort, merges each group of
+    equal key and shift whose half-frequencies lie within ``FREQ_MERGE_TOL``
+    of the group's first (the first keeps its half-frequency), and drops the
+    amplitudes whose modulus is at or below ``AMP_DROP_TOL``.
+    """
+    n = len(amp)
+    if n > 1:
+        order = np.lexsort((f, s) if key is None else (f, s, key))
+        amp, f, s = amp[order], f[order], s[order]
+        new = np.empty(n, dtype=bool)
+        new[0] = True
+        np.not_equal(s[1:], s[:-1], out=new[1:])
+        new[1:] |= f[1:] - f[:-1] > FREQ_MERGE_TOL
+        if key is not None:
+            key = key[order]
+            new[1:] |= key[1:] != key[:-1]
+        starts = new.nonzero()[0]
+        if len(starts) < n:
+            last = np.empty_like(starts)
+            last[:-1] = starts[1:] - 1
+            last[-1] = n - 1
+            wide = (f[last] - f[starts] > FREQ_MERGE_TOL).nonzero()[0]
+            if len(wide):
+                starts = _anchor_starts(f, starts, wide)
+            amp = _group_sums(amp, starts)
+            f, s = f[starts], s[starts]
+            if key is not None:
+                key = key[starts]
+    return _drop(amp, f, s, key)
+
+
+def _drop(amp, f, s, key=None):
+    """The terms whose amplitude modulus exceeds ``AMP_DROP_TOL``, read-only."""
+    keep = np.hypot(amp.real, amp.imag) > AMP_DROP_TOL
+    if not keep.all():
+        amp, f, s = amp[keep], f[keep], s[keep]
+        key = None if key is None else key[keep]
+    return (*_frozen(amp, f, s), key)
+
+
+def _termsum(amp: np.ndarray, f: np.ndarray, s: np.ndarray) -> TermSum:
+    """A TermSum around canonical, read-only arrays."""
+    ts = object.__new__(TermSum)
+    object.__setattr__(ts, "amp", amp)
+    object.__setattr__(ts, "halffreq", f)
+    object.__setattr__(ts, "shift", s)
+    return ts
 
 
 class TermSum:
     """Canonical finite sum of :class:`Term` elements.
 
-    Supports ``+``, ``-``, ``*`` (by scalar, Term or TermSum), unary ``-``,
+    The terms are held as parallel read-only arrays ``amp`` (complex),
+    ``halffreq`` (float) and ``shift`` (int), in canonical order; ``terms``
+    and iteration give them as :class:`Term` tuples.
+    Supports ``+``, ``-``, ``*`` (by scalar or TermSum), unary ``-``,
     hermitian mirroring and numeric evaluation with the field shifts traced
     out.
     Instances are immutable and safe to share between workers.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("amp", "halffreq", "shift")
 
     def __init__(self, terms: Iterable[Term] = ()):
-        items = [Term(complex(t[0]), float(t[1]), int(t[2])) for t in terms]
-        items.sort(key=lambda t: (t.shift, t.halffreq))
-        object.__setattr__(self, "terms", _merge_sorted(items))
+        items = list(terms)
+        amp, f, s, _ = _canonical(
+            np.array([complex(t[0]) for t in items], dtype=complex),
+            np.array([float(t[1]) for t in items], dtype=float),
+            np.array([int(t[2]) for t in items], dtype=np.int64),
+        )
+        object.__setattr__(self, "amp", amp)
+        object.__setattr__(self, "halffreq", f)
+        object.__setattr__(self, "shift", s)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("TermSum is immutable")
@@ -121,11 +227,16 @@ class TermSum:
 
     @classmethod
     def zero(cls) -> TermSum:
-        return cls(())
+        return _ZERO
 
     @classmethod
     def single(cls, amp: complex, halffreq: float = 0.0, shift: int = 0) -> TermSum:
-        return cls((Term(amp, halffreq, shift),))
+        amp = complex(amp)
+        if not abs(amp) > AMP_DROP_TOL:
+            return _ZERO
+        return _termsum(
+            *_frozen(np.array([amp]), np.array([float(halffreq)]), np.array([int(shift)]))
+        )
 
     @classmethod
     def constant(cls, amp: complex) -> TermSum:
@@ -148,19 +259,28 @@ class TermSum:
 
     # -- algebra -------------------------------------------------------------
 
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(map(Term, self.amp.tolist(), self.halffreq.tolist(), self.shift.tolist()))
+
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.amp)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return len(self.amp) > 0
 
     def __add__(self, other: TermSum) -> TermSum:
         if not isinstance(other, TermSum):
             return NotImplemented
-        return TermSum(self.terms + other.terms)
+        amp, f, s, _ = _canonical(
+            np.concatenate((self.amp, other.amp)),
+            np.concatenate((self.halffreq, other.halffreq)),
+            np.concatenate((self.shift, other.shift)),
+        )
+        return _termsum(amp, f, s)
 
     def __sub__(self, other: TermSum) -> TermSum:
         if not isinstance(other, TermSum):
@@ -168,23 +288,26 @@ class TermSum:
         return self + (-other)
 
     def __neg__(self) -> TermSum:
-        return TermSum(Term(-t.amp, t.halffreq, t.shift) for t in self.terms)
+        return _termsum(*_frozen(-self.amp), self.halffreq, self.shift)
 
     def __mul__(self, other):
         if isinstance(other, TermSum):
-            return TermSum(
-                term_mul(a, b) for a in self.terms for b in other.terms
-            )
-        if isinstance(other, Term):
-            return TermSum(term_mul(t, other) for t in self.terms)
+            return mat_vec(((self,),), (other,))[0]
         if isinstance(other, (int, float, complex)):
-            return TermSum(Term(t.amp * other, t.halffreq, t.shift) for t in self.terms)
+            # the keys stay canonical; only amplitudes can fall below the threshold
+            amp, f, s, _ = _drop(_cmul(self.amp, complex(other)), self.halffreq, self.shift)
+            return _termsum(amp, f, s)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TermSum) and self.terms == other.terms
+        return (
+            isinstance(other, TermSum)
+            and np.array_equal(self.amp, other.amp)
+            and np.array_equal(self.halffreq, other.halffreq)
+            and np.array_equal(self.shift, other.shift)
+        )
 
     def __hash__(self):
         return hash(self.terms)
@@ -194,40 +317,58 @@ class TermSum:
         return f"TermSum[{body}]"
 
     def conjugate_mirror(self) -> TermSum:
-        """Hermitian image: conjugate amplitudes, negate phases and shifts."""
-        return TermSum(Term(t.amp.conjugate(), -t.halffreq, -t.shift) for t in self.terms)
+        """Hermitian image: conjugate amplitudes, negate phases and shifts.
+
+        Canonical keys lie more than ``FREQ_MERGE_TOL`` apart, so the image
+        only needs re-sorting.
+        """
+        amp, f, s = self.amp.conj(), -self.halffreq, -self.shift
+        if len(amp) > 1:
+            order = np.lexsort((f, s))
+            amp, f, s = amp[order], f[order], s[order]
+        return _termsum(*_frozen(amp, f, s))
 
     # -- queries -------------------------------------------------------------
 
     def amp_at(self, halffreq: float, shift: int) -> complex:
         """Amplitude stored at a (halffreq, shift) key, 0 if absent."""
-        for t in self.terms:
-            if t.shift == shift and abs(t.halffreq - halffreq) <= FREQ_MERGE_TOL:
-                return t.amp
-        return 0.0 + 0.0j
+        hit = (
+            (self.shift == shift) & (np.abs(self.halffreq - halffreq) <= FREQ_MERGE_TOL)
+        ).nonzero()[0]
+        return complex(self.amp[hit[0]]) if len(hit) else 0.0 + 0.0j
 
     def max_abs_amp(self) -> float:
-        return max((abs(t.amp) for t in self.terms), default=0.0)
+        return float(np.hypot(self.amp.real, self.amp.imag).max()) if len(self) else 0.0
 
     def shifts(self) -> tuple[int, ...]:
-        return tuple(sorted({t.shift for t in self.terms}))
+        return tuple(np.unique(self.shift).tolist())
 
     def by_shift(self) -> dict[int, "TermSum"]:
         """Split into sub-sums sharing the same ladder displacement."""
-        groups: dict[int, list[Term]] = {}
-        for t in self.terms:
-            groups.setdefault(t.shift, []).append(t)
-        return {s: TermSum(ts) for s, ts in groups.items()}
+        shifts, first = np.unique(self.shift, return_index=True)
+        bounds = [*first.tolist(), len(self)]
+        return {
+            s: _termsum(self.amp[a:b], self.halffreq[a:b], self.shift[a:b])
+            for s, a, b in zip(shifts.tolist(), bounds, bounds[1:])
+        }
 
     # -- evaluation -----------------------------------------------------------
 
     def _addends(self, taus: np.ndarray) -> np.ndarray:
         """``amp * exp(i*halffreq*tau/2)``, one row per term, one column per point."""
-        amps = np.array([t.amp for t in self.terms])
-        freqs = np.array([t.halffreq for t in self.terms])
-        z = 0.5j * np.outer(freqs, taus)
+        z = 0.5j * np.outer(self.halffreq, taus)
         np.exp(z, out=z)
-        return np.multiply(amps[:, None], z, out=z)
+        return np.multiply(self.amp[:, None], z, out=z)
+
+    def _shift_rows(self, addends: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """Each shift group's addends summed exactly, one row per group."""
+        shifts, first = np.unique(self.shift, return_index=True)
+        bounds = [*first.tolist(), len(self)]
+        rows = np.empty((len(shifts), addends.shape[1]), dtype=complex)
+        # the terms are sorted by shift, so each group is one contiguous run
+        for row, a, b in zip(rows, bounds, bounds[1:]):
+            row[:] = exact_sum(addends[a:b].view(float)).view(complex)
+        return tuple(shifts.tolist()), rows
 
     def trace_evaluate_many(self, taus: np.ndarray) -> np.ndarray:
         """Values sum(amp * exp(i*halffreq*tau/2)) over a time grid.
@@ -240,7 +381,7 @@ class TermSum:
         can leave dust of order 1e-17 where the true value is zero).
         """
         taus = np.asarray(taus, dtype=float)
-        if not self.terms:
+        if not self:
             return np.zeros(taus.shape, dtype=complex)
         return exact_sum(self._addends(taus).view(float)).view(complex)
 
@@ -249,22 +390,30 @@ class TermSum:
 
         Returns the shifts in ascending order and a (shifts, points) array
         whose row s equals ``self.by_shift()[s].trace_evaluate_many(taus)``
-        bit for bit.  The addends of all terms are laid out in one
-        zero-padded (slot, group, point) array and summed by
-        :func:`exact_sum` along the slots.
+        bit for bit.  The addends of all terms are computed once, and each
+        group's run of them is summed by :func:`exact_sum`.
         """
         taus = np.asarray(taus, dtype=float).ravel()
-        if not self.terms:
+        if not self:
             return (), np.zeros((0, taus.size), dtype=complex)
-        shifts, group, counts = np.unique(
-            [t.shift for t in self.terms], return_inverse=True, return_counts=True
-        )
-        # the terms are sorted by shift, so each group is one contiguous run
-        slot = np.arange(len(self.terms)) - (np.cumsum(counts) - counts)[group]
-        padded = np.zeros((counts.max(), len(shifts), taus.size), dtype=complex)
-        padded[slot, group] = self._addends(taus)
-        return tuple(shifts.tolist()), exact_sum(padded.view(float)).view(complex)
+        return self._shift_rows(self._addends(taus))
 
+    def trace_with_shifts(
+        self, taus: np.ndarray
+    ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+        """``trace_evaluate_many`` and ``trace_by_shift`` from one set of addends.
+
+        Returns the traced total, the shifts and the shift rows, each equal
+        bit for bit to what the two methods return on their own.
+        """
+        taus = np.asarray(taus, dtype=float).ravel()
+        if not self:
+            return np.zeros(taus.shape, dtype=complex), (), np.zeros((0, taus.size), complex)
+        z = self._addends(taus)
+        return exact_sum(z.view(float)).view(complex), *self._shift_rows(z)
+
+
+_ZERO = TermSum()
 
 # Columns are summed in blocks of about this many elements, which keeps the
 # temporaries of both trees in cache; whole-array passes measured 2-3x slower.
@@ -339,16 +488,67 @@ TermVector = tuple  # tuple[TermSum, ...]
 TermMatrix = tuple  # tuple[tuple[TermSum, ...], ...]
 
 
+def _product_sums(a, b, blocks, n_out: int) -> tuple[TermSum, ...]:
+    """Canonical sums of term products, each output from all of its raw products.
+
+    ``a`` and ``b`` are flat lists of TermSums.  ``blocks`` is a constant
+    table of arrays (ia, ib, scale, out): block k contributes every product
+    ``scale[k] * ta * tb`` of a term ``ta`` of ``a[ia[k]]`` with a term
+    ``tb`` of ``b[ib[k]]`` to output ``out[k]``; ``scale`` is None for unit
+    scales.  Products are taken in block order, ``a``'s terms outermost,
+    and the whole set is canonicalized in one pass keyed by output.
+    """
+    ia, ib, scale, out = blocks
+    la = np.array([len(x) for x in a], dtype=np.intp)
+    lb = np.array([len(x) for x in b], dtype=np.intp)
+    nb = lb[ib]
+    count = la[ia] * nb
+    total = int(count.sum())
+    if not total:
+        return (_ZERO,) * n_out
+    # block of each product, and the product's index within its block
+    blk = np.arange(len(count)).repeat(count)
+    qa, qb = np.divmod(np.arange(total) - (count.cumsum() - count)[blk], nb[blk])
+    ta = (la.cumsum() - la)[ia][blk] + qa
+    tb = (lb.cumsum() - lb)[ib][blk] + qb
+    a_amp = np.concatenate([x.amp for x in a])[ta]
+    if scale is not None:
+        a_amp = _cmul(scale[blk], a_amp)
+    amp, f, s, key = _canonical(
+        _cmul(a_amp, np.concatenate([x.amp for x in b])[tb]),
+        np.concatenate([x.halffreq for x in a])[ta] + np.concatenate([x.halffreq for x in b])[tb],
+        np.concatenate([x.shift for x in a])[ta] + np.concatenate([x.shift for x in b])[tb],
+        out[blk],
+    )
+    bounds = key.searchsorted(np.arange(n_out + 1)).tolist()
+    return tuple(_termsum(amp[i:j], f[i:j], s[i:j]) for i, j in zip(bounds, bounds[1:]))
+
+
+@lru_cache(maxsize=64)
+def _mat_vec_blocks(n_cols: tuple[int, ...]):
+    """Block table of an (n_rows x row length) matrix times a vector, row-major."""
+    ia, ib, out = [], [], []
+    offset = 0
+    for r, n in enumerate(n_cols):
+        for c in range(n):
+            ia.append(offset + c)
+            ib.append(c)
+            out.append(r)
+        offset += n
+    ia, ib, out = _frozen(np.array(ia, np.intp), np.array(ib, np.intp), np.array(out, np.intp))
+    return ia, ib, None, out
+
+
 def mat_vec(m: TermMatrix, v: TermVector) -> TermVector:
-    """Matrix-vector product over TermSum entries."""
-    out = []
-    for row in m:
-        acc = TermSum.zero()
-        for entry, comp in zip(row, v):
-            if entry and comp:
-                acc = acc + entry * comp
-        out.append(acc)
-    return tuple(out)
+    """Matrix-vector product over TermSum entries.
+
+    Each output entry is canonicalized once from all of its raw term
+    products, so each merged group is summed by a single exact sum; all
+    entries are built in one pass.
+    """
+    n_cols = tuple(min(len(row), len(v)) for row in m)
+    a = [e for row, n in zip(m, n_cols) for e in row[:n]]
+    return _product_sums(a, v, _mat_vec_blocks(n_cols), len(m))
 
 
 # The spin basis (1, sigma_z, sigma_+, sigma_-) of 2x2 matrices over (up,
@@ -369,6 +569,23 @@ _READ = (
 )
 
 
+@lru_cache(maxsize=None)
+def _sandwich_blocks(rows: tuple[int, ...], cols: tuple[int, ...]):
+    """Block table of the entries rows x cols of X -> a.X.b, flat 2x2 operands."""
+    ia, ib, scale, out = [], [], [], []
+    for i in rows:
+        for j in cols:
+            for p, q, w in _READ[i]:
+                for r, t, e in _BASIS[j]:
+                    ia.append(2 * p + r)
+                    ib.append(2 * t + q)
+                    scale.append(w * e)
+                    out.append(len(cols) * rows.index(i) + cols.index(j))
+    return _frozen(
+        np.array(ia, np.intp), np.array(ib, np.intp), np.array(scale, complex), np.array(out, np.intp)
+    )
+
+
 def dagger(a: TermMatrix) -> TermMatrix:
     """Adjoint of a 2x2 matrix over TermSum entries (transpose and mirror)."""
     return tuple(tuple(a[c][r].conjugate_mirror() for c in range(2)) for r in range(2))
@@ -381,20 +598,14 @@ def sandwich(
 
     ``a`` and ``b`` are 2x2 matrices over TermSum entries, rows and columns
     (up, down).  Entry (i, j) is component i of a.E_j.b for the basis
-    element E_j, canonicalized once from all of its raw term products, so
-    each merged group is summed by a single ``fsum``.  Only the entries in
-    ``rows`` x ``cols`` are built, as a len(rows) x len(cols) matrix.
+    element E_j, canonicalized once from all of its raw term products
+    ``w * e * ta * tb`` (w the read weight, e the basis value), so each
+    merged group is summed by a single exact sum.  Only the entries in
+    ``rows`` x ``cols`` are built, all in one pass, as a len(rows) x
+    len(cols) matrix.
     """
-    return tuple(
-        tuple(
-            TermSum(
-                (w * e * ta.amp * tb.amp, ta.halffreq + tb.halffreq, ta.shift + tb.shift)
-                for p, q, w in _READ[i]
-                for r, t, e in _BASIS[j]
-                for ta in a[p][r]
-                for tb in b[t][q]
-            )
-            for j in cols
-        )
-        for i in rows
+    rows, cols = tuple(rows), tuple(cols)
+    flat = _product_sums(
+        [*a[0], *a[1]], [*b[0], *b[1]], _sandwich_blocks(rows, cols), len(rows) * len(cols)
     )
+    return tuple(flat[k : k + len(cols)] for k in range(0, len(flat), len(cols)))

@@ -311,6 +311,14 @@ class TestMain:
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert phrase in err["error"]
 
+    @pytest.mark.parametrize(
+        "key, value", [("tau", 5), ("weights", "gaussian")], ids=["tau", "weights"]
+    )
+    def test_non_object_section_rejected_before_output(self, tmp_path, capsys, key, value):
+        cfg_path = self._fig1_doc(tmp_path, **{key: value})
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert f"'{key}' must be a JSON object" in err["error"]
+
     def test_window_overflow_rejected_before_output(self, tmp_path, capsys):
         # the weight window's reach is known only once the oracle has run
         weights = {"kind": "gaussian", "alpha": [[5.0, 0.0]], "window": 40}

@@ -147,12 +147,22 @@ class TestUndress:
         for a, b in zip(undress(cr).u, single.u):
             assert termwise_dev(a, b) <= 1e-15
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(combs())
     def test_exact_gates_on_random_combs(self, cfg):
         # P_e(0) and the mirror defect are exactly zero, not merely small
         u0 = undress(run_cascade(cfg))
         assert excitation_probability(u0, np.array([0.0])).values[0] == 0.0
+        assert u0.hermiticity_defect() == 0.0
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_exact_gates_on_uniform_combs(self, n):
+        # thousands of terms, every merged group summed exactly
+        cfg = ModeConfig(j=1, m=tuple(range(n)), omega=(1 / 15,) * n, delta0=n - 1)
+        u0 = undress(run_cascade(cfg))
+        pe = excitation_probability(u0, np.array([0.0, 1.0]), channels=cfg.mode_shifts)
+        assert pe.values[0] == 0.0
+        assert all(c[0] == 0.0 for c in pe.channels.values())
         assert u0.hermiticity_defect() == 0.0
 
     def test_three_mode_term_inventory(self):

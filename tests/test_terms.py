@@ -2,19 +2,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyrabi.terms import (
+    AMP_DROP_TOL,
     Term,
     TermSum,
-    term_mul,
     dagger,
     exact_sum,
     mat_vec,
     sandwich,
 )
 
-from conftest import bits, fsum_trace, termwise_dev
+from conftest import (
+    bits,
+    fsum_trace,
+    ref_canonical,
+    ref_mat_vec_row,
+    ref_products,
+    ref_sandwich_entry,
+    term_bits,
+    termwise_dev,
+)
 
 
 def random_term(rng):
@@ -28,6 +37,12 @@ def random_sum(rng, n=6):
 
 def at(ts, tau):
     return ts.trace_evaluate_many(np.array([tau]))[0]
+
+
+def term_mul(a, b):
+    """The one term of the product of two single-term sums."""
+    (t,) = (TermSum.single(*a) * TermSum.single(*b)).terms
+    return t
 
 
 class TestTermMul:
@@ -233,9 +248,15 @@ class TestTraceByShift:
                 assert np.array_equal(bits(row), bits(fsum_trace(groups[s], taus)))
             assert np.array_equal(bits(ts.trace_evaluate_many(taus)), bits(fsum_trace(ts, taus)))
             assert rows[shifts.index(7)][0] == 0.0
+            total, shifts2, rows2 = ts.trace_with_shifts(taus)
+            assert shifts2 == shifts and np.array_equal(bits(rows2), bits(rows))
+            assert np.array_equal(bits(total), bits(ts.trace_evaluate_many(taus)))
 
     def test_empty(self):
         shifts, rows = TermSum.zero().trace_by_shift(np.linspace(0, 1, 4))
+        assert shifts == () and rows.shape == (0, 4) and rows.dtype == complex
+        total, shifts, rows = TermSum.zero().trace_with_shifts(np.linspace(0, 1, 4))
+        assert np.array_equal(total, np.zeros(4, complex)) and total.dtype == complex
         assert shifts == () and rows.shape == (0, 4) and rows.dtype == complex
 
 
@@ -326,3 +347,118 @@ class TestSandwich:
         right = mat_vec(sandwich(mat2(a1, a2), mat2(b2, b1)), x)
         for p, q in zip(left, right):
             assert (p - q).max_abs_amp() < 1e-10
+
+
+# Raw terms that stress the merge: amplitudes that cancel exactly, sit at the
+# drop threshold or carry signed-zero parts, full-mantissa amplitudes whose
+# products a fused multiply-add rounds differently, and half-frequencies in
+# runs 4e-13 apart, so a run inside FREQ_MERGE_TOL and one spanning it (and
+# 0.0 next to -0.0) both occur.
+AMPS = st.one_of(
+    st.sampled_from(
+        [
+            0.5 + 0j,
+            -0.5 + 0j,
+            0.25 + 0.75j,
+            -0.25 - 0.75j,
+            complex(AMP_DROP_TOL, 0.0),
+            complex(0.0, -AMP_DROP_TOL),
+            complex(math.nextafter(AMP_DROP_TOL, 1.0), 0.0),
+            complex(0.5 * AMP_DROP_TOL, 0.5 * AMP_DROP_TOL),
+            complex(0.0, 1.5),
+            complex(-0.0, 1.5),
+            complex(1.5, -0.0),
+            complex(-0.0, -0.0),
+        ]
+    ),
+    st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+)
+FREQS = st.sampled_from([-0.0] + [b + k * 4e-13 for b in (0.0, 1.0, -2.5) for k in range(6)])
+RAW = st.lists(st.tuples(AMPS, FREQS, st.integers(-2, 2)), max_size=24)
+SUMS = RAW.map(TermSum)
+SMALL_SUMS = st.lists(st.tuples(AMPS, FREQS, st.integers(-2, 2)), max_size=3).map(TermSum)
+
+
+def assert_matches(ts, ref):
+    assert term_bits(ts.terms) == term_bits(ref)
+
+
+class TestMatchesReference:
+    """The array algebra equals the one-term-at-a-time reference, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(RAW)
+    def test_canonical(self, raw):
+        assert_matches(TermSum(raw), ref_canonical(raw))
+
+    @settings(max_examples=200)
+    @given(SUMS, SUMS)
+    def test_sum_and_difference(self, a, b):
+        assert_matches(a + b, ref_canonical([*a.terms, *b.terms]))
+        minus_b = [(-t.amp, t.halffreq, t.shift) for t in b.terms]
+        assert_matches(-b, ref_canonical(minus_b))
+        assert_matches(a - b, ref_canonical([*a.terms, *ref_canonical(minus_b)]))
+
+    @settings(max_examples=200)
+    @given(SUMS, SUMS, AMPS)
+    def test_products(self, a, b, c):
+        assert_matches(a * b, ref_canonical(ref_products(a.terms, b.terms)))
+        assert_matches(a * c, ref_canonical([(t.amp * c, t.halffreq, t.shift) for t in a.terms]))
+        two = complex(2)  # a real scale multiplies as a complex number
+        assert_matches(2 * a, ref_canonical([(t.amp * two, t.halffreq, t.shift) for t in a.terms]))
+
+    @settings(max_examples=200)
+    @given(SUMS)
+    def test_mirror(self, a):
+        mirror = [(t.amp.conjugate(), -t.halffreq, -t.shift) for t in a.terms]
+        assert_matches(a.conjugate_mirror(), ref_canonical(mirror))
+
+    @settings(max_examples=100)
+    @given(st.lists(SMALL_SUMS, min_size=16, max_size=16), st.lists(SUMS, min_size=4, max_size=4))
+    def test_mat_vec(self, entries, v):
+        m = tuple(tuple(entries[4 * r : 4 * r + 4]) for r in range(4))
+        for row, got in zip(m, mat_vec(m, tuple(v))):
+            assert_matches(got, ref_mat_vec_row(row, v))
+        m3 = tuple(row[:3] for row in m[:3])
+        for row, got in zip(m3, mat_vec(m3, tuple(v[:3]))):
+            assert_matches(got, ref_mat_vec_row(row, v[:3]))
+
+    @settings(max_examples=100)
+    @given(st.lists(SMALL_SUMS, min_size=8, max_size=8))
+    def test_sandwich(self, entries):
+        a = ((entries[0], entries[1]), (entries[2], entries[3]))
+        b = ((entries[4], entries[5]), (entries[6], entries[7]))
+        t = sandwich(a, b)
+        for i in range(4):
+            for j in range(4):
+                assert_matches(t[i][j], ref_sandwich_entry(a, b, i, j))
+        part = sandwich(a, b, rows=range(1, 4), cols=(0, 2))
+        assert [[x.terms for x in row] for row in part] == [
+            [t[i][j].terms for j in (0, 2)] for i in range(1, 4)
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_many_groups(self, seed):
+        # hundreds of merged groups, so the groups go through exact_sum
+        rng = np.random.default_rng(seed)
+        n = 800
+        amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amp[n // 2 :] = -amp[: n // 2]  # every other pair cancels where it meets
+        freq = rng.choice([0.0, 4e-13, 8e-13, 1.2e-12, 1.6e-12, 2.0], size=n)
+        shift = rng.integers(-60, 60, size=n)
+        raw = list(zip(amp.tolist(), freq.tolist(), shift.tolist()))
+        assert_matches(TermSum(raw), ref_canonical(raw))
+        a, b = TermSum(raw[:300]), TermSum(raw[300:340])
+        assert_matches(a * b, ref_canonical(ref_products(a.terms, b.terms)))
+        row = (a, b, b)
+        v = (b, a, TermSum.single(0.5))
+        assert_matches(mat_vec((row,), v)[0], ref_mat_vec_row(row, v))
+
+    def test_products_round_as_python(self):
+        # numpy's complex multiply may fuse multiply and add; the algebra must not
+        rng = np.random.default_rng(14)
+        amps = (rng.uniform(-2, 2, 4000) + 1j * rng.uniform(-2, 2, 4000)).tolist()
+        a = TermSum(Term(x, 0.0, k) for k, x in enumerate(amps))
+        for c in (rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)).tolist():
+            got = (a * TermSum.single(c)).terms
+            assert term_bits(got) == term_bits([Term(x * c, 0.0, k) for k, x in enumerate(amps)])
