@@ -5,8 +5,9 @@ The package carries four layers: a canonical phase-term algebra
 comb-driven problem to a single resonant two-level rotation
 (:mod:`polyrabi.cascade`), the undressing chain that pulls the rotation back
 to the lab frame and reads out excitation probabilities
-(:mod:`polyrabi.propagator`), and an exact truncated-lattice reference
-solver used to validate everything (:mod:`polyrabi.oracle`).  Closed-form
+(:mod:`polyrabi.propagator`), and the exact reference solvers used to
+validate everything, the period (Floquet) propagator and the truncated
+field lattice (:mod:`polyrabi.oracle`).  Closed-form
 shortcuts live in :mod:`polyrabi.closed_forms`, the coherent-field weight
 model in :mod:`polyrabi.field_state`, and the batch/CLI front end in
 :mod:`polyrabi.cli`.
@@ -58,6 +59,7 @@ from .oracle import (
     GridMismatchError,
     build_hamiltonian,
     evolve,
+    floquet_evolve,
     verify_Sk,
     compare,
 )

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .terms import Term, TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich
+from .terms import AMP_DROP_TOL, Term, TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich
 
 __all__ = [
     "ModeConfig",
@@ -292,6 +292,12 @@ def next_stage(
     half-frequency and ladder shift ``j + m`` of the next mode dressed in the
     sigma_+ component (the vector carries the conventional factor 1/2).  The
     next detuning is ``splitting_k - dm_next``.
+
+    Each stage scales that term by at least 1/2 (the dressing's c^2), so
+    the term of the k-th mode dressed outlives canonicalization whenever its
+    coupling exceeds ``2**k * AMP_DROP_TOL``.  A weaker coupling whose term
+    is gone is dressed as uncoupled (chi = 0); a missing term of a stronger
+    one raises :class:`ChiExtractionError`.
     """
     k_next = p.k + 1
     if k_next > cfg.n_modes:
@@ -303,7 +309,7 @@ def next_stage(
     mode = cfg.dressing_order[k_next - 1]
     shift_next = cfg.j + cfg.m[mode]
     chi_next = 2.0 * v[1].amp_at(0.0, shift_next)
-    if chi_next == 0 and cfg.omega[mode] != 0:
+    if chi_next == 0 and abs(cfg.omega[mode]) > 2.0**k_next * AMP_DROP_TOL:
         raise ChiExtractionError(
             f"stage {k_next}: no static sigma_+ term at ladder shift {shift_next}"
         )

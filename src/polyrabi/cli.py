@@ -8,7 +8,7 @@ an equal experiment.  Formatting is fixed so identical configurations give
 byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 oracle validity
-failure (leakage gate; partial outputs are kept).
+failure (leakage or norm-defect gate; partial outputs are kept).
 """
 
 from __future__ import annotations
@@ -26,8 +26,13 @@ import numpy as np
 from .cascade import ModeConfig, run_cascade
 from .closed_forms import resonant_lower_mode, two_mode_u0, weak_field_uge
 from .field_state import gamma_weights, weighted_pe
-from .oracle import build_hamiltonian, compare, evolve, min_halfwidth
+from .oracle import compare, floquet_evolve, min_halfwidth
 from .propagator import PeSeries, excitation_probability, undress
+
+# The lattice solver is not on the CLI path, but the benchmark harness reads
+# and patches these names on this module: ``evolve`` on every timed run and
+# ``build_hamiltonian`` for its halfwidth scaling probes.
+from .oracle import build_hamiltonian, evolve  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -58,7 +63,7 @@ class Experiment:
     tau: tuple[float, float, int] = (0.0, 4.0 * math.pi, 1000)
     weights: tuple[complex, ...] | None = None  # None = flat; else gaussian alphas
     weight_window: int = 60
-    window: int = 200  # oracle lattice halfwidth
+    window: int = 200  # oracle site-window halfwidth
     channels: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -316,8 +321,7 @@ def run(exp: Experiment, outdir: Path) -> RunResult:
     produced: dict[str, PeSeries] = {}
     for engine in exp.engines():
         if engine == "oracle":
-            h, basis = build_hamiltonian(exp.config, exp.window)
-            orun = evolve(h, basis, taus, channels=exp.channels)
+            orun = floquet_evolve(exp.config, exp.window, taus, channels=exp.channels)
             if exp.weights is not None:
                 weighted = weighted_pe(
                     orun, gamma_weights(exp.weights, exp.weight_window), taus
@@ -386,7 +390,7 @@ def main(argv=None) -> int:
     parser.add_argument("--engine", choices=ENGINES, help="override the engine selection")
     parser.add_argument("--tau", help="grid override start:stop:count")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--window", type=int, help="oracle lattice halfwidth override")
+    parser.add_argument("--window", type=int, help="oracle site-window halfwidth override")
     args = parser.parse_args(argv)
 
     try:
@@ -424,8 +428,8 @@ def main(argv=None) -> int:
             print(
                 json.dumps(
                     {
-                        "error": f"{exp.name}: oracle leakage gate failed; "
-                        "outputs retained but flagged",
+                        "error": f"{exp.name}: oracle leakage or norm-defect gate "
+                        "failed; outputs retained but flagged",
                         "kind": "oracle-validity",
                     }
                 ),

@@ -87,19 +87,18 @@ def _shift_amplitudes(
 
     For a propagator, every sigma_+ shift group is traced in one pass
     (:meth:`~polyrabi.terms.TermSum.trace_by_shift`), each row correctly
-    rounded from the group's raw terms.
+    rounded from the group's raw terms.  An oracle run's rows are its site
+    amplitudes in reverse (shift s ends on site -s), those above 1e-14.
     """
     if isinstance(source, PropagatorComponents):
         shifts, rows = source.sigma_plus.trace_by_shift(taugrid)
         return list(shifts), rows
     if not np.array_equal(np.asarray(taugrid, dtype=float), source.tau):
         raise ValueError("taugrid must match the oracle run's grid")
-    shifts = [int(-n) for n in source.basis.sites[::-1]]
-    rows = [source.shift_amplitude(s) for s in shifts]
-    keep = [i for i, r in enumerate(rows) if np.max(np.abs(r)) > 1e-14]
-    shifts = [shifts[i] for i in keep]
-    rows = [rows[i] for i in keep]
-    return shifts, np.array(rows) if rows else np.zeros((0, len(taugrid)), complex)
+    rows = source.up_amplitudes[::-1]
+    reach = len(rows) // 2
+    keep = np.max(np.abs(rows), axis=1) > 1e-14
+    return np.arange(-reach, reach + 1)[keep].tolist(), rows[keep]
 
 
 def weighted_pe(

@@ -223,6 +223,11 @@ class TermSum:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("TermSum is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the guard above refuses slot restores, and
+        # canonical terms canonicalize to themselves
+        return (TermSum, (self.terms,))
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -1,16 +1,36 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from polyrabi import ModeConfig, build_hamiltonian, evolve
+from polyrabi import ModeConfig, ResonanceOrderWarning, build_hamiltonian, evolve
 from polyrabi.terms import AMP_DROP_TOL, FREQ_MERGE_TOL, Term
 
 # Every property test runs a fixed set of examples with no deadline, so a run
 # repeats exactly and a slow shared host cannot time it out.
 settings.register_profile("polyrabi", derandomize=True, deadline=None)
 settings.load_profile("polyrabi")
+
+
+@st.composite
+def combs(draw, max_modes=4):
+    """Combs of 1 to ``max_modes`` modes, j in -2..2, real or complex couplings, any dressing order."""
+    n = draw(st.integers(1, max_modes))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    m = tuple(itertools.accumulate(gaps, initial=0))
+    part = st.floats(-0.5, 0.5, allow_subnormal=False)
+    omega = []
+    for _ in range(n):
+        re = draw(part.filter(lambda x: abs(x) >= 0.05))
+        im = draw(st.one_of(st.just(0.0), part))
+        omega.append(complex(re, im))
+    delta0 = draw(st.floats(-2.0, m[-1] + 2.0, allow_subnormal=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceOrderWarning)
+        return ModeConfig(j=draw(st.integers(-2, 2)), m=m, omega=tuple(omega), delta0=delta0)
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from polyrabi import cascade
 from polyrabi.cascade import (
     ModeConfig,
     StageParams,
+    ChiExtractionError,
     DegenerateStageError,
     ResonanceOrderWarning,
     stage_zero,
@@ -15,6 +17,7 @@ from polyrabi.cascade import (
     next_stage,
     run_cascade,
 )
+from polyrabi.propagator import excitation_probability, undress
 from polyrabi.terms import Term, TermSum, dagger, mat_vec, sandwich
 
 from conftest import termwise_dev
@@ -237,6 +240,30 @@ class TestNextStage:
         cr = run_cascade(cfg)
         assert cr.stages[1].chi == 0
         assert cr.stages[1].rabi == pytest.approx(abs(cr.stages[1].detuning))
+
+    @pytest.mark.parametrize("tiny", [1e-15, 1e-14])
+    def test_negligible_coupling_dressed_as_uncoupled(self, tiny):
+        # the static term of so weak a coupling does not outlive canonicalization
+        taus = np.linspace(0.0, 4.0 * math.pi, 50)
+        runs = [
+            run_cascade(ModeConfig(j=1, m=(0, 1), omega=(0.1, om), delta0=1.0))
+            for om in (tiny, 0.0)
+        ]
+        assert runs[0].stages == runs[1].stages
+        assert runs[0].stages[1].chi == 0
+        pe = [excitation_probability(undress(cr), taus).values for cr in runs]
+        assert np.array_equal(pe[0], pe[1])
+
+    def test_missing_term_of_resolvable_coupling_raises(self, monkeypatch):
+        # a coupling canonicalization keeps must leave its static term behind
+        def losing(m, v):
+            vz, plus, minus = mat_vec(m, v)
+            plus = TermSum(t for t in plus if not (t.shift == 2 and abs(t.halffreq) <= 1e-12))
+            return vz, plus, minus
+
+        monkeypatch.setattr(cascade, "mat_vec", losing)
+        with pytest.raises(ChiExtractionError, match="ladder shift 2"):
+            run_cascade(ModeConfig(j=1, m=(0, 1), omega=(0.1, 1e-13), delta0=1.0))
 
     def test_resonance_condition(self):
         # choose delta0 so the first dressed splitting equals the mode gap

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyrabi import cli
 from polyrabi.cascade import ModeConfig
 from polyrabi.cli import (
     ConfigError,
@@ -33,6 +34,31 @@ def small_fig1(tmp_path, **overrides):
     )
     kw.update(overrides)
     return Experiment(**kw)
+
+
+# Names the benchmark harness (perfbench/run.py, perfbench/workloads.py) reads
+# or patches on the CLI module; its probe reads ``evolve`` on every timed run.
+HARNESS_NAMES = (
+    "run",
+    "evolve",
+    "build_hamiltonian",
+    "undress",
+    "two_mode_u0",
+    "run_cascade",
+    "excitation_probability",
+    "weak_field_uge",
+    "gamma_weights",
+    "weighted_pe",
+    "compare",
+    "write_series_csv",
+    "preset_experiments",
+    "PRESETS",
+)
+
+
+@pytest.mark.parametrize("name", HARNESS_NAMES)
+def test_cli_exposes_harness_names(name):
+    assert hasattr(cli, name)
 
 
 class TestExperiment:
@@ -262,12 +288,12 @@ class TestMain:
             )
         assert "mode 2 is resonant" in err["error"]
 
-    def test_missing_static_coupling_rejected(self, tmp_path, capsys):
-        # a coupling below the drop threshold leaves no static term to dress
+    def test_negligible_coupling_runs(self, tmp_path):
+        # a coupling below the drop threshold is dressed as uncoupled
         config = {"j": 1, "m": [0, 1], "omega": [[0.1, 0], [1e-15, 0]], "delta0": 1.0}
         cfg_path = self._fig1_doc(tmp_path, config=config, engine="cascade")
-        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
-        assert "no static sigma_+ term" in err["error"]
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "run_cascade.csv").exists()
 
     def test_window_zero_override_rejected(self, tmp_path, capsys):
         # a zero window is an override like any other, not "no override"

@@ -1,11 +1,16 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyrabi.cascade import ModeConfig, StageParams, run_cascade
+from polyrabi.cascade import ModeConfig, ResonanceOrderWarning, StageParams, run_cascade
+from polyrabi.cli import PRESETS, preset_experiments
 from polyrabi.oracle import (
+    LEAKAGE_TOL,
+    NORM_TOL,
     OVERLAP_CUT,
     BasisSizeError,
     GridMismatchError,
@@ -13,6 +18,8 @@ from polyrabi.oracle import (
     build_hamiltonian,
     compare,
     evolve,
+    floquet_evolve,
+    min_halfwidth,
     verify_Sk,
 )
 from polyrabi.propagator import (
@@ -24,6 +31,27 @@ from polyrabi.propagator import (
     undress,
 )
 from polyrabi.terms import mat_vec
+
+from conftest import combs
+
+
+def lattice(cfg, halfwidth, taus, channels=None):
+    h, basis = build_hamiltonian(cfg, halfwidth)
+    return evolve(h, basis, taus, channels=channels)
+
+
+def amplitude_dev(a, b, halfwidth):
+    """Largest comb-frame amplitude difference over the sites -halfwidth..halfwidth."""
+    return max(
+        float(np.max(np.abs(a.shift_amplitude(s) - b.shift_amplitude(s))))
+        for s in range(-halfwidth, halfwidth + 1)
+    )
+
+
+def shipped_experiments():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceOrderWarning)
+        return [exp for name in PRESETS for exp in preset_experiments(name)]
 
 
 class TestBasis:
@@ -173,6 +201,76 @@ class TestEvolve:
         run = fig1_oracle
         total = sum(run.shift_amplitude(int(-n)) for n in run.basis.sites)
         assert np.allclose(np.abs(total) ** 2, run.pe.values, atol=1e-20)
+
+
+class TestFloquetEvolve:
+    @pytest.mark.parametrize("exp", shipped_experiments(), ids=lambda exp: exp.name)
+    def test_matches_lattice_on_presets(self, exp):
+        taus = exp.taugrid()
+        channels = sorted({*exp.config.mode_shifts, *(exp.channels or ())})
+        run = floquet_evolve(exp.config, exp.window, taus, channels=channels)
+        ref = lattice(exp.config, exp.window, taus, channels)
+        assert run.valid and ref.valid
+        assert np.max(np.abs(run.pe.values - ref.pe.values)) <= 1e-10
+        for s in channels:
+            assert np.max(np.abs(run.pe.channels[s] - ref.pe.channels[s])) <= 1e-10
+        assert amplitude_dev(run, ref, exp.window) <= 1e-10
+
+    @settings(max_examples=12)
+    @given(cfg=combs(max_modes=5), real=st.booleans(), narrow=st.booleans())
+    def test_matches_lattice_on_random_combs(self, cfg, real, narrow):
+        # A window just above min_halfwidth holds the amplitudes it spans
+        # exactly, but the excitation probability sums over the window and
+        # converges only on a wide one (on either solver), so it is compared
+        # there alone.  The W = 200 lattice is the reference for both.
+        if real:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ResonanceOrderWarning)
+                cfg = replace(cfg, omega=tuple(complex(om.real) for om in cfg.omega))
+        taus = np.linspace(0.0, 4.0 * math.pi, 64)
+        channels = cfg.mode_shifts
+        ref = lattice(cfg, 200, taus, channels)
+        halfwidth = min_halfwidth(cfg) + 1 if narrow else 200
+        run = floquet_evolve(cfg, halfwidth, taus, channels=channels)
+        assert ref.valid
+        assert amplitude_dev(run, ref, halfwidth) <= 1e-10
+        for s in channels:
+            assert np.max(np.abs(run.pe.channels[s] - ref.pe.channels[s])) <= 1e-10
+        if not narrow:
+            assert run.valid
+            assert np.max(np.abs(run.pe.values - ref.pe.values)) <= 1e-10
+
+    def test_single_mode_matches_closed_form(self):
+        cfg = ModeConfig(j=1, m=(0,), omega=(0.5,), delta0=0.0)
+        taus = np.linspace(0, 4 * math.pi, 200)
+        run = floquet_evolve(cfg, 30, taus)
+        assert np.max(np.abs(run.pe.values - np.sin(0.25 * taus) ** 2)) < 1e-10
+
+    def test_thin_window_is_invalid(self):
+        # strong drive on a thin window, the CLI's exit-3 example
+        cfg = ModeConfig(j=2, m=(0, 1), omega=(3.0, 3.0), delta0=1.0)
+        run = floquet_evolve(cfg, 13, np.linspace(0.0, 100.0, 40))
+        assert not run.valid
+
+    def test_norm_defect_flags_what_the_window_drops(self):
+        # shifts -2 and 2 never reach the odd edge sites -9 and 9, so only the
+        # norm sees the population that spreads past the window
+        cfg = ModeConfig(j=-2, m=(0, 4), omega=(1.0, 1.0), delta0=4.0)
+        run = floquet_evolve(cfg, 9, np.linspace(0.0, 4.0 * math.pi, 100))
+        assert run.leakage <= LEAKAGE_TOL
+        assert run.norm_defect > NORM_TOL
+        assert not run.valid
+
+    def test_window_too_small(self):
+        cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)
+        with pytest.raises(BasisSizeError):
+            floquet_evolve(cfg, 12, np.linspace(0.0, 1.0, 3))
+
+    def test_drive_too_fast(self):
+        # refused before the period's arrays are allocated
+        cfg = ModeConfig(j=1, m=(0,), omega=(0.1,), delta0=600.0)
+        with pytest.raises(ValueError, match="Magnus steps"):
+            floquet_evolve(cfg, 10, np.linspace(0.0, 1.0, 3))
 
 
 class TestVerifySk:

@@ -1,10 +1,10 @@
-import itertools
+import copy
 import math
-import warnings
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from polyrabi.cascade import ModeConfig, ResonanceOrderWarning, StageParams, run_cascade
 from polyrabi.propagator import (
@@ -15,25 +15,7 @@ from polyrabi.propagator import (
 )
 from polyrabi.terms import TermSum
 
-from conftest import bits, dominant_peak, fsum_trace, termwise_dev
-
-
-@st.composite
-def combs(draw):
-    """Combs of 1-4 modes, j in -2..2, real or complex couplings, any dressing order."""
-    n = draw(st.integers(1, 4))
-    gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
-    m = tuple(itertools.accumulate(gaps, initial=0))
-    part = st.floats(-0.5, 0.5, allow_subnormal=False)
-    omega = []
-    for _ in range(n):
-        re = draw(part.filter(lambda x: abs(x) >= 0.05))
-        im = draw(st.one_of(st.just(0.0), part))
-        omega.append(complex(re, im))
-    delta0 = draw(st.floats(-2.0, m[-1] + 2.0, allow_subnormal=False))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResonanceOrderWarning)
-        return ModeConfig(j=draw(st.integers(-2, 2)), m=m, omega=tuple(omega), delta0=delta0)
+from conftest import bits, combs, dominant_peak, fsum_trace, termwise_dev
 
 
 def fig1_stages():
@@ -270,3 +252,19 @@ class TestExcitationProbability:
         pe = excitation_probability(undress(cr), taus)
         peak, width = dominant_peak(taus, pe.values)
         assert abs(peak - rabi) <= width
+
+
+class TestCopying:
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_round_trip(self, clone):
+        cr = run_cascade(ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5 + 0.1j), delta0=1.0))
+        u0 = undress(cr)
+        for obj in (u0.sigma_plus, u0, cr):
+            again = clone(obj)
+            assert again == obj
+        again = clone(u0.sigma_plus)
+        assert bits(again.amp).tolist() == bits(u0.sigma_plus.amp).tolist()
+        assert again.halffreq.tolist() == u0.sigma_plus.halffreq.tolist()
+        assert again.shift.tolist() == u0.sigma_plus.shift.tolist()
