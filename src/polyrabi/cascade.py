@@ -33,7 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .terms import AMP_DROP_TOL, Term, TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich
+from .terms import (
+    AMP_DROP_TOL, FREQ_MERGE_TOL, Term, TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich,
+)
 
 __all__ = [
     "ModeConfig",
@@ -237,7 +239,7 @@ def stage_zero(cfg: ModeConfig) -> TermVector:
     hermitian mirrors.
     """
     ma = _offset(cfg, 1)
-    vz = TermSum.constant(0.5 * (cfg.delta0 - ma))
+    vz = TermSum.single(0.5 * (cfg.delta0 - ma))
     plus = TermSum(
         Term(0.5 * om, -2.0 * (mk - ma), cfg.j + mk) for mk, om in zip(cfg.m, cfg.omega)
     )
@@ -304,7 +306,7 @@ def next_stage(
         raise ValueError("cascade already complete")
     m = build_M(p)
     v = mat_vec(m, v_prev)
-    v = (v[0] + TermSum.constant(-0.5 * p.dm_next), v[1], v[2])
+    v = (v[0] + TermSum.single(-0.5 * p.dm_next), v[1], v[2])
 
     mode = cfg.dressing_order[k_next - 1]
     shift_next = cfg.j + cfg.m[mode]
@@ -357,7 +359,8 @@ def run_cascade(cfg: ModeConfig) -> CascadeResult:
     f = np.concatenate([c.halffreq for c in v])
     s = np.concatenate([c.shift for c in v])
     amp = np.concatenate([c.amp for c in v])
-    drop = (s != np.array([0, final.mode_shift, -final.mode_shift])[comp]) | (np.abs(f) > 1e-12)
+    kept_shift = np.array([0, final.mode_shift, -final.mode_shift])[comp]
+    drop = (s != kept_shift) | (np.abs(f) > FREQ_MERGE_TOL)
     dropped = [
         TruncatedTerm(
             component=_COMPONENT_NAMES[idx],

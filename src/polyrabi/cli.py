@@ -30,8 +30,8 @@ from .oracle import compare, floquet_evolve, min_halfwidth
 from .propagator import PeSeries, excitation_probability, undress
 
 # The lattice solver is not on the CLI path, but the benchmark harness reads
-# and patches these names on this module: ``evolve`` on every timed run and
-# ``build_hamiltonian`` for its halfwidth scaling probes.
+# these names on this module for its halfwidth scaling probes, and wraps
+# ``evolve`` here (``run`` never calls it, so the wrapper does not fire).
 from .oracle import build_hamiltonian, evolve  # noqa: F401
 
 __all__ = [
@@ -252,15 +252,14 @@ def experiment_to_dict(exp: Experiment) -> dict:
 # -- series IO ------------------------------------------------------------------
 
 
-def write_series_csv(path: Path, series: PeSeries, channel_order=None) -> None:
+def write_series_csv(path: Path, series: PeSeries) -> None:
     """Write a series as CSV, every value as the ``repr`` of its float.
 
-    Each column is formatted in one pass; ``repr`` gives the shortest string
-    that reads back to the same double.
+    The channel columns follow the order of ``series.channels``.  Each
+    column is formatted in one pass; ``repr`` gives the shortest string that
+    reads back to the same double.
     """
-    cols = []
-    if series.channels:
-        cols = list(channel_order) if channel_order else sorted(series.channels)
+    cols = list(series.channels or ())
     columns = [series.tau, series.values, *(series.channels[s] for s in cols)]
     text = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     header = "tau,pe" + "".join(f",channel_{s}" for s in cols)
@@ -294,20 +293,27 @@ class RunResult:
     oracle_valid: bool = True
 
 
-def _analytic_series(exp: Experiment, engine: str, taus: np.ndarray) -> PeSeries:
+def _series(exp: Experiment, engine: str, taus: np.ndarray) -> tuple[PeSeries, bool]:
+    """One engine's series, and whether it is valid (only the oracle can fail)."""
     cfg = exp.config
+    flat = exp.weights is None
     if engine == "weak_field":
-        amp = weak_field_uge(cfg, taus)
-        return PeSeries(tau=taus, values=np.abs(amp) ** 2)
-    u0 = two_mode_u0(cfg) if engine == "two_mode" else undress(run_cascade(cfg))
-    if exp.weights is None:
-        return excitation_probability(u0, taus, channels=exp.channels)
+        return PeSeries(tau=taus, values=np.abs(weak_field_uge(cfg, taus)) ** 2), True
+    if engine == "oracle":
+        source = floquet_evolve(cfg, exp.window, taus, channels=exp.channels if flat else None)
+        if flat:
+            return source.pe, source.valid
+    else:
+        source = two_mode_u0(cfg) if engine == "two_mode" else undress(run_cascade(cfg))
+        if flat:
+            return excitation_probability(source, taus, channels=exp.channels), True
     # the weighted run's channels come from the same shift amplitudes
-    weighted = weighted_pe(u0, gamma_weights(exp.weights, exp.weight_window), taus)
+    weighted = weighted_pe(source, gamma_weights(exp.weights, exp.weight_window), taus)
     channels = None
     if exp.channels:
         channels = {s: weighted.channels.get(s, np.zeros(taus.shape)) for s in exp.channels}
-    return PeSeries(tau=taus, values=weighted.values, channels=channels)
+    series = PeSeries(tau=taus, values=weighted.values, channels=channels)
+    return series, engine != "oracle" or source.valid
 
 
 def run(exp: Experiment, outdir: Path) -> RunResult:
@@ -320,21 +326,8 @@ def run(exp: Experiment, outdir: Path) -> RunResult:
     result = RunResult()
     produced: dict[str, PeSeries] = {}
     for engine in exp.engines():
-        if engine == "oracle":
-            orun = floquet_evolve(exp.config, exp.window, taus, channels=exp.channels)
-            if exp.weights is not None:
-                weighted = weighted_pe(
-                    orun, gamma_weights(exp.weights, exp.weight_window), taus
-                )
-                series = PeSeries(
-                    tau=taus, values=weighted.values, channels=orun.pe.channels
-                )
-            else:
-                series = orun.pe
-            result.oracle_valid = orun.valid
-            produced[engine] = series
-        else:
-            produced[engine] = _analytic_series(exp, engine, taus)
+        produced[engine], valid = _series(exp, engine, taus)
+        result.oracle_valid &= valid
     reports = {}
     if "oracle" in produced:
         reports = {
@@ -350,7 +343,7 @@ def run(exp: Experiment, outdir: Path) -> RunResult:
     result.files.append(echo)
     for engine, series in produced.items():
         path = outdir / f"{exp.name}_{engine}.csv"
-        write_series_csv(path, series, channel_order=exp.channels)
+        write_series_csv(path, series)
         result.files.append(path)
     for engine, rep in reports.items():
         path = outdir / f"{exp.name}_compare_{engine}.json"

@@ -19,6 +19,7 @@ import numpy as np
 
 from .oracle import OracleRun
 from .propagator import PeSeries, PropagatorComponents
+from .terms import AMP_DROP_TOL
 
 __all__ = [
     "FieldWeights",
@@ -36,7 +37,6 @@ class WindowOverflowError(ValueError):
 class FieldWeights:
     """Normalized Gaussian level weights gamma^2 on an integer window."""
 
-    alpha: tuple[complex, ...]
     mean: float
     sigma: float
     levels: np.ndarray  # integer lattice levels
@@ -72,33 +72,11 @@ def gamma_weights(alpha, window: int) -> FieldWeights:
     profile = np.exp(-((levels - mean) ** 2) / (2.0 * variance))
     profile /= profile.sum()
     return FieldWeights(
-        alpha=alpha,
         mean=mean,
         sigma=math.sqrt(variance),
         levels=levels,
         weights=profile,
     )
-
-
-def _shift_amplitudes(
-    source: PropagatorComponents | OracleRun, taugrid: np.ndarray
-) -> tuple[list[int], np.ndarray]:
-    """Comb-frame channel amplitudes, one row per ladder shift.
-
-    For a propagator, every sigma_+ shift group is traced in one pass
-    (:meth:`~polyrabi.terms.TermSum.trace_by_shift`), each row correctly
-    rounded from the group's raw terms.  An oracle run's rows are its site
-    amplitudes in reverse (shift s ends on site -s), those above 1e-14.
-    """
-    if isinstance(source, PropagatorComponents):
-        shifts, rows = source.sigma_plus.trace_by_shift(taugrid)
-        return list(shifts), rows
-    if not np.array_equal(np.asarray(taugrid, dtype=float), source.tau):
-        raise ValueError("taugrid must match the oracle run's grid")
-    rows = source.up_amplitudes[::-1]
-    reach = len(rows) // 2
-    keep = np.max(np.abs(rows), axis=1) > 1e-14
-    return np.arange(-reach, reach + 1)[keep].tolist(), rows[keep]
 
 
 def weighted_pe(
@@ -114,24 +92,30 @@ def weighted_pe(
     (:func:`~polyrabi.propagator.excitation_probability`, ``OracleRun.pe``).
     The weights sum to one over the levels, so the probability of each
     channel does not depend on them: ``channels`` holds |c_s|^2 for every
-    shift s present, from the same amplitudes.
+    shift s present (every site row of an oracle run), from the same
+    amplitudes.  An oracle run's rows at or below
+    :data:`~polyrabi.terms.AMP_DROP_TOL` are left out of the weighting.
     """
     taugrid = np.asarray(taugrid, dtype=float)
-    shifts, rows = _shift_amplitudes(source, taugrid)
-    reach = max((abs(s) for s in shifts), default=0)
     if isinstance(source, OracleRun):
-        if len(weights.levels) // 2 + reach > source.basis.halfwidth:
-            raise WindowOverflowError(
-                "weight window plus channel reach exceeds the oracle lattice"
-            )
-    if not shifts:
-        return PeSeries(tau=taugrid, values=np.zeros(taugrid.shape), channels={})
-
+        if not np.array_equal(taugrid, source.tau):
+            raise ValueError("taugrid must match the oracle run's grid")
+        # every site row is a channel; only those above AMP_DROP_TOL are weighted
+        shifts, rows = source.shift_rows()
+        channels = dict(zip(shifts.tolist(), np.abs(rows) ** 2))
+        keep = np.max(np.abs(rows), axis=1) > AMP_DROP_TOL
+        shifts, rows = shifts[keep].tolist(), rows[keep]
+    else:
+        # every sigma_+ shift group, each row correctly rounded from its raw terms
+        shifts, rows = source.sigma_plus.trace_by_shift(taugrid)
+        channels = dict(zip(shifts, np.abs(rows) ** 2))
+    reach = max((abs(s) for s in shifts), default=0)
+    if isinstance(source, OracleRun) and len(weights.levels) // 2 + reach > source.halfwidth:
+        raise WindowOverflowError("weight window plus channel reach exceeds the oracle lattice")
     # Final levels extend one channel reach past the initial-level window.
     finals = np.arange(weights.levels[0] - reach, weights.levels[-1] + reach + 1)
     # gamma(N + s) for every final level N and every shift s.
-    gam = np.stack([weights.gamma(finals + s) for s in shifts], axis=1)
+    gam = weights.gamma(finals[:, None] + np.array(shifts, dtype=int))
     inner = gam @ rows  # (finals, tau)
     values = np.sum(np.abs(inner) ** 2, axis=0)
-    channels = dict(zip(shifts, np.abs(rows) ** 2))
     return PeSeries(tau=taugrid, values=values, channels=channels)

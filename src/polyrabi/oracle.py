@@ -29,10 +29,12 @@ out of the rotation: the lattice eigenstates are localized, so most of them
 have no weight on site 0, and the part of the state they carry has 2-norm at
 most ``sqrt(dim) * OVERLAP_CUT`` at every time.
 
-Both record comb-frame amplitudes ``exp(i n tau) <n, up|psi>`` (the diagonal
-lattice energy rotated away), whose coherent sum over sites is the
-excitation amplitude.  All comparisons between the analytic machinery and a
-reference go through :func:`compare`.
+Both hand the comb-frame amplitudes ``exp(i n tau) <n, sigma|psi>`` of both
+spins (the diagonal lattice energy rotated away) to one constructor of the
+run record, :class:`OracleRun`, which alone computes P_e (the squared
+coherent sum of the up amplitudes over sites), the channels, the norm
+defect, the leakage and ``valid``.  All comparisons between the analytic
+machinery and a reference go through :func:`compare`.
 """
 
 from __future__ import annotations
@@ -131,6 +133,11 @@ def min_halfwidth(cfg: ModeConfig) -> int:
     return 4 * reach
 
 
+def _check_halfwidth(cfg: ModeConfig, halfwidth: int) -> None:
+    if halfwidth <= min_halfwidth(cfg):
+        raise BasisSizeError(f"halfwidth {halfwidth} too small; need > {min_halfwidth(cfg)}")
+
+
 def build_hamiltonian(cfg: ModeConfig, halfwidth: int) -> tuple[np.ndarray, TruncatedBasis]:
     """Hermitian comb Hamiltonian on the truncated lattice.
 
@@ -140,10 +147,7 @@ def build_hamiltonian(cfg: ModeConfig, halfwidth: int) -> tuple[np.ndarray, Trun
     the leakage gate, not by absorbing edges.  The matrix is ``float64``
     when every coupling has zero imaginary part, ``complex128`` otherwise.
     """
-    if halfwidth <= min_halfwidth(cfg):
-        raise BasisSizeError(
-            f"halfwidth {halfwidth} too small; need > {min_halfwidth(cfg)}"
-        )
+    _check_halfwidth(cfg, halfwidth)
     basis = TruncatedBasis(halfwidth)
     real = all(om.imag == 0.0 for om in cfg.omega)
     h = np.zeros((basis.dim, basis.dim), dtype=float if real else complex)
@@ -166,25 +170,25 @@ class OracleRun:
 
     ``up_amplitudes`` holds the comb-frame up-spin amplitudes
     exp(i n tau) <n, up|psi(tau)>, one row per site n = -R..R: R is the
-    halfwidth W of ``basis`` on the lattice, and the Floquet solver stops
+    window ``halfwidth`` W on the lattice, and the Floquet solver stops
     short of W where the modes' harmonics end.  Sites beyond R carry no
-    amplitude.  ``eigenvalues`` and ``eigenvectors`` are the spectrum the
-    run was computed from: the lattice's full ``eigh``, or the two
-    quasienergies and the Fourier coefficients (spin, mode, harmonic) of the
-    Floquet modes.  ``valid`` holds when ``leakage``, the largest
-    population on the outer 10% of the site window, is at most
-    :data:`LEAKAGE_TOL` and ``norm_defect`` at most :data:`NORM_TOL`.
+    amplitude.  ``valid`` holds when ``leakage``, the largest population
+    on the outer 10% of the site window, is at most :data:`LEAKAGE_TOL` and
+    ``norm_defect`` at most :data:`NORM_TOL`.
     """
 
-    basis: TruncatedBasis
+    halfwidth: int
     tau: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     up_amplitudes: np.ndarray  # (sites, tau), comb frame
     pe: PeSeries
     norm_defect: float
     leakage: float
     valid: bool
+
+    def shift_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every shift in ascending order and its amplitude: the site rows, reversed."""
+        reach = len(self.up_amplitudes) // 2
+        return np.arange(-reach, reach + 1), self.up_amplitudes[::-1]
 
     def shift_amplitude(self, shift: int) -> np.ndarray:
         """Comb-frame amplitude of the channel ending ``shift`` steps down.
@@ -198,13 +202,19 @@ class OracleRun:
         return self.up_amplitudes[reach - shift]
 
 
-def _oracle_run(basis, taugrid, spectrum, up, norm_defect, leakage, channels) -> OracleRun:
-    """Record of a run from its comb-frame amplitudes and validity figures."""
+def _oracle_run(halfwidth, taugrid, up, down, channels) -> OracleRun:
+    """The run record, from the comb-frame amplitudes of both spins on sites -R..R.
+
+    The leakage gate watches the sites beyond 0.9 ``halfwidth``.
+    """
+    pop = up.real**2 + up.imag**2 + down.real**2 + down.imag**2  # (sites, tau)
+    reach = len(up) // 2
+    edge = np.abs(np.arange(-reach, reach + 1)) > 0.9 * halfwidth
+    norm_defect = float(np.max(np.abs(np.sqrt(np.sum(pop, axis=0)) - 1.0)))
+    leakage = float(np.max(np.sum(pop[edge], axis=0)))
     run = OracleRun(
-        basis=basis,
+        halfwidth=halfwidth,
         tau=taugrid,
-        eigenvalues=spectrum[0],
-        eigenvectors=spectrum[1],
         up_amplitudes=up,
         pe=PeSeries(tau=taugrid, values=np.abs(np.sum(up, axis=0)) ** 2),
         norm_defect=norm_defect,
@@ -245,19 +255,10 @@ def evolve(
         psi = (vecs @ coeffs.view(float)).view(complex)
     else:
         psi = vecs @ coeffs
-
-    norms = np.linalg.norm(psi, axis=0)
-    norm_defect = float(np.max(np.abs(norms - 1.0)))
-
-    edge = np.abs(basis.sites) > 0.9 * basis.halfwidth
-    edge_rows = np.concatenate(
-        [basis.down_indices()[edge], basis.up_indices()[edge]]
-    )
-    leakage = float(np.max(np.sum(np.abs(psi[edge_rows, :]) ** 2, axis=0))) if edge_rows.size else 0.0
-
     site_phase = np.exp(1j * np.outer(basis.sites, taugrid))
     up = site_phase * psi[basis.up_indices(), :]
-    return _oracle_run(basis, taugrid, (evals, evecs), up, norm_defect, leakage, channels)
+    down = site_phase * psi[basis.down_indices(), :]
+    return _oracle_run(basis.halfwidth, taugrid, up, down, channels)
 
 
 def _period_steps(cfg: ModeConfig) -> int:
@@ -354,11 +355,7 @@ def floquet_evolve(
     10% the leakage gate watches and beyond which no amplitude is kept, so
     the norm defect also counts what a too-narrow window loses.
     """
-    if halfwidth <= min_halfwidth(cfg):
-        raise BasisSizeError(
-            f"halfwidth {halfwidth} too small; need > {min_halfwidth(cfg)}"
-        )
-    basis = TruncatedBasis(halfwidth)
+    _check_halfwidth(cfg, halfwidth)
     taugrid = np.asarray(taugrid, dtype=float)
     eps, coef = _floquet_modes(*_period_prefix(cfg, _period_steps(cfg)))
     steps = coef.shape[-1]
@@ -377,20 +374,12 @@ def floquet_evolve(
     product = product.transpose(1, 2, 0, 3).reshape(2 * len(harmonics), 2 * len(sites))
     rate = (harmonics[None, :] - eps[:, None]).ravel()
 
-    edge = np.tile(np.abs(sites) > 0.9 * halfwidth, 2)
-    up = np.empty((len(sites), len(taugrid)), dtype=complex)
-    norms = np.empty(len(taugrid))
-    edge_pop = np.empty(len(taugrid))
+    amps = np.empty((2, len(sites), len(taugrid)), dtype=complex)  # (spin, n, tau)
+    rows = amps.reshape(product.shape[1], -1)  # a view, rows (spin, n)
     block = max(1, BLOCK_SIZE // product.shape[1])
     for i in range(0, len(taugrid), block):
-        amps = np.exp(1j * np.outer(taugrid[i : i + block], rate)) @ product
-        pop = amps.real**2 + amps.imag**2
-        up[:, i : i + block] = amps[:, : len(sites)].T
-        norms[i : i + block] = np.sqrt(np.sum(pop, axis=1))
-        edge_pop[i : i + block] = np.sum(pop[:, edge], axis=1)
-    norm_defect = float(np.max(np.abs(norms - 1.0)))
-    leakage = float(np.max(edge_pop))
-    return _oracle_run(basis, taugrid, (eps, coef), up, norm_defect, leakage, channels)
+        rows[:, i : i + block] = (np.exp(1j * np.outer(taugrid[i : i + block], rate)) @ product).T
+    return _oracle_run(halfwidth, taugrid, amps[0], amps[1], channels)
 
 
 @dataclass(frozen=True)
@@ -421,11 +410,9 @@ def verify_Sk(p: StageParams, halfwidth: int) -> SkVerification:
     basis = TruncatedBasis(halfwidth)
     s = p.mode_shift
     dim = basis.dim
-    ladder_up = np.zeros((dim, dim), dtype=complex)  # b_s sigma_+
-    for n in basis.sites:
-        n_up = n - s
-        if abs(n_up) <= halfwidth:
-            ladder_up[basis.index(n_up, True), basis.index(n, False)] = 1.0
+    ladder_up = np.zeros((dim, dim), dtype=complex)  # b_s sigma_+: (n, down) -> (n - s, up)
+    inside = np.abs(basis.sites - s) <= halfwidth
+    ladder_up[basis.up_indices()[inside] - 2 * s, basis.down_indices()[inside]] = 1.0
     ladder_dn = ladder_up.conj().T
 
     sz = np.zeros((dim, dim), dtype=complex)

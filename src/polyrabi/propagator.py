@@ -50,20 +50,8 @@ class PropagatorComponents:
     u: TermVector
 
     @property
-    def identity(self) -> TermSum:
-        return self.u[0]
-
-    @property
-    def sigma_z(self) -> TermSum:
-        return self.u[1]
-
-    @property
     def sigma_plus(self) -> TermSum:
         return self.u[2]
-
-    @property
-    def sigma_minus(self) -> TermSum:
-        return self.u[3]
 
     def hermiticity_defect(self) -> float:
         return (self.u[3] + self.u[2].conjugate_mirror()).max_abs_amp()

@@ -231,10 +231,6 @@ class TermSum:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> TermSum:
-        return _ZERO
-
-    @classmethod
     def single(cls, amp: complex, halffreq: float = 0.0, shift: int = 0) -> TermSum:
         amp = complex(amp)
         if not abs(amp) > AMP_DROP_TOL:
@@ -242,10 +238,6 @@ class TermSum:
         return _termsum(
             *_frozen(np.array([amp]), np.array([float(halffreq)]), np.array([int(shift)]))
         )
-
-    @classmethod
-    def constant(cls, amp: complex) -> TermSum:
-        return cls.single(amp)
 
     @classmethod
     def cosine(cls, halffreq: float) -> TermSum:

@@ -124,7 +124,7 @@ class TestStageParams:
         assert p.detuning_norm == pytest.approx(1 / SQ125)
         assert p.chi_norm == pytest.approx(-0.5 / SQ125)
         # an uncoupled stage is undressed whatever its detuning
-        one, zero = TermSum.constant(1.0), TermSum.zero()
+        one, zero = TermSum.single(1.0), TermSum()
         for d in (-0.7, 0.0, 0.7):
             q = StageParams(k=1, detuning=d, chi=0.0, mode_shift=1, dm_next=1)
             assert (q.detuning_norm, q.chi_norm) == (1.0, 0.0)
@@ -149,21 +149,21 @@ class TestStageUnitary:
     def test_dresses_random_stages(self):
         # S^dag S = 1 and S^dag (detuning/2 sz + chi/2 b_s s+ + h.c.) S = splitting/2 sz
         rng = np.random.default_rng(15)
-        zero = TermSum.zero()
+        zero = TermSum()
         for _ in range(200):
             p = random_stage(rng)
             s = stage_unitary(p, 0.0)
             conj = sandwich(dagger(s), s)
-            unit = mat_vec(conj, (TermSum.constant(1.0), zero, zero, zero))
+            unit = mat_vec(conj, (TermSum.single(1.0), zero, zero, zero))
             block = (
                 zero,
-                TermSum.constant(0.5 * p.detuning),
+                TermSum.single(0.5 * p.detuning),
                 TermSum.single(0.5 * p.chi, 0.0, p.mode_shift),
                 TermSum.single(0.5 * p.chi.conjugate(), 0.0, -p.mode_shift),
             )
             dressed = mat_vec(conj, block)
-            expect_unit = (TermSum.constant(1.0), zero, zero, zero)
-            expect_dressed = (zero, TermSum.constant(0.5 * p.splitting), zero, zero)
+            expect_unit = (TermSum.single(1.0), zero, zero, zero)
+            expect_dressed = (zero, TermSum.single(0.5 * p.splitting), zero, zero)
             for got, expect in zip(unit + dressed, expect_unit + expect_dressed):
                 assert termwise_dev(got, expect) <= 1e-15
 
@@ -182,7 +182,7 @@ class TestStageZero:
     def test_single_mode(self):
         cfg = ModeConfig(j=3, m=(0,), omega=(0.5,), delta0=1.0)
         v = stage_zero(cfg)
-        assert v[0] == TermSum.constant(0.5)
+        assert v[0] == TermSum.single(0.5)
         assert v[1] == TermSum.single(0.25, 0.0, 3)
         assert v[2] == TermSum.single(0.25, 0.0, -3)
 
@@ -193,7 +193,7 @@ class TestStageZero:
     def test_all_zero_couplings(self):
         cfg = ModeConfig(j=1, m=(0, 1), omega=(0.0, 0.0), delta0=0.5)
         v = stage_zero(cfg)
-        assert v[1] == TermSum.zero()
+        assert v[1] == TermSum()
 
     def test_hermitian_mirror(self):
         v = stage_zero(fig1())
@@ -204,7 +204,7 @@ class TestBuildM:
     def test_no_coupling_is_frame_rotation(self):
         p = StageParams(k=1, detuning=0.7, chi=0.0, mode_shift=1, dm_next=2)
         m = build_M(p)
-        assert m[0][0] == TermSum.constant(1.0)
+        assert m[0][0] == TermSum.single(1.0)
         assert m[1][1] == TermSum.single(1.0, 4.0, 0)
         assert m[2][2] == TermSum.single(1.0, -4.0, 0)
         for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):

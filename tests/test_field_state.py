@@ -7,7 +7,6 @@ from polyrabi.cascade import ModeConfig, run_cascade
 from polyrabi.cli import Experiment, read_series_csv, run
 from polyrabi.field_state import (
     WindowOverflowError,
-    _shift_amplitudes,
     gamma_weights,
     weighted_pe,
 )
@@ -61,9 +60,9 @@ class TestWeightedPe:
         cfg = ModeConfig(j=1, m=(0, 1, 2), omega=(0.1, 0.07 - 0.1j, 0.15j), delta0=2.2)
         u0 = undress(run_cascade(cfg))
         taus = np.linspace(0, 4 * math.pi, 301)
-        shifts, rows = _shift_amplitudes(u0, taus)
+        shifts, rows = u0.sigma_plus.trace_by_shift(taus)
         groups = u0.sigma_plus.by_shift()
-        assert shifts == sorted(groups)
+        assert list(shifts) == sorted(groups)
         for s, row in zip(shifts, rows):
             assert np.array_equal(bits(row), bits(fsum_trace(groups[s], taus)))
         # the channels come from the same rows, so they equal the flat split

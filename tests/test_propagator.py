@@ -56,7 +56,7 @@ class TestDressedPropagator:
     def test_degenerate_stage_is_free_evolution(self):
         p = StageParams(k=1, detuning=0.0, chi=0.0, mode_shift=1, dm_next=0)
         u = dressed_propagator(p)
-        assert u.u[0] == TermSum.constant(1.0)
+        assert u.u[0] == TermSum.single(1.0)
         assert u.u[1].max_abs_amp() == 0.0
 
 
@@ -67,7 +67,7 @@ class TestBuildT:
         for i in range(4):
             for j in range(4):
                 if i == j:
-                    assert t[i][j] == TermSum.constant(1.0)
+                    assert t[i][j] == TermSum.single(1.0)
                 else:
                     assert t[i][j].max_abs_amp() == 0.0
 

@@ -108,12 +108,12 @@ class TestCanonicalize:
         assert (a - b).max_abs_amp() == 0.0
         assert termwise_dev(a, b) == pytest.approx(5e-15, rel=1e-2)
         assert termwise_dev(b, a) == termwise_dev(a, b)
-        assert termwise_dev(a, TermSum.zero()) == 0.5
+        assert termwise_dev(a, TermSum()) == 0.5
 
 
 class TestEvaluate:
     def test_constant(self):
-        assert at(TermSum.constant(1.0), 3.7) == 1.0
+        assert at(TermSum.single(1.0), 3.7) == 1.0
 
     def test_cosine_identity(self):
         ts = TermSum([Term(0.5, 2.0, 0), Term(0.5, -2.0, 0)])
@@ -152,7 +152,7 @@ class TestFieldTrace:
         assert np.array_equal(ts.trace_evaluate_many(taus), np.full(3, 0.5 + 0j))
 
     def test_empty(self):
-        got = TermSum.zero().trace_evaluate_many(np.linspace(0, 1, 4))
+        got = TermSum().trace_evaluate_many(np.linspace(0, 1, 4))
         assert got.dtype == complex and np.array_equal(got, np.zeros(4))
 
     def test_commutes_with_addition(self):
@@ -253,9 +253,9 @@ class TestTraceByShift:
             assert np.array_equal(bits(total), bits(ts.trace_evaluate_many(taus)))
 
     def test_empty(self):
-        shifts, rows = TermSum.zero().trace_by_shift(np.linspace(0, 1, 4))
+        shifts, rows = TermSum().trace_by_shift(np.linspace(0, 1, 4))
         assert shifts == () and rows.shape == (0, 4) and rows.dtype == complex
-        total, shifts, rows = TermSum.zero().trace_with_shifts(np.linspace(0, 1, 4))
+        total, shifts, rows = TermSum().trace_with_shifts(np.linspace(0, 1, 4))
         assert np.array_equal(total, np.zeros(4, complex)) and total.dtype == complex
         assert shifts == () and rows.shape == (0, 4) and rows.dtype == complex
 
@@ -275,7 +275,7 @@ class TestStructure:
         rng = np.random.default_rng(8)
         ts = random_sum(rng, 12)
         groups = ts.by_shift()
-        total = TermSum.zero()
+        total = TermSum()
         for g in groups.values():
             total = total + g
         assert total == ts
