@@ -12,57 +12,19 @@ shortcuts live in :mod:`polyrabi.closed_forms`, the coherent-field weight
 model in :mod:`polyrabi.field_state`, and the batch/CLI front end in
 :mod:`polyrabi.cli`.
 
+The package namespace re-exports the ``__all__`` of each of the six library
+modules, and nothing else: a public name is declared once, in its module.
+The CLI stays a submodule, so ``python -m polyrabi.cli`` finds it unloaded.
+
 All frequencies are in units of the comb base frequency and time is
 dimensionless (base frequency times seconds).
 """
 
-from .terms import (
-    Term,
-    TermSum,
-    mat_vec,
-    dagger,
-    sandwich,
-)
-from .cascade import (
-    ModeConfig,
-    StageParams,
-    CascadeResult,
-    DegenerateStageError,
-    ChiExtractionError,
-    ResonanceOrderWarning,
-    stage_zero,
-    stage_unitary,
-    build_M,
-    next_stage,
-    run_cascade,
-)
-from .propagator import (
-    PropagatorComponents,
-    PeSeries,
-    dressed_propagator,
-    build_T,
-    undress,
-    excitation_probability,
-)
-from .closed_forms import (
-    WeakFieldWarning,
-    two_mode_u0,
-    weak_field_uge,
-    single_mode_rabi,
-)
-from .oracle import (
-    TruncatedBasis,
-    OracleRun,
-    SkVerification,
-    ComparisonReport,
-    BasisSizeError,
-    GridMismatchError,
-    build_hamiltonian,
-    evolve,
-    floquet_evolve,
-    verify_Sk,
-    compare,
-)
-from .field_state import FieldWeights, WindowOverflowError, gamma_weights, weighted_pe
+from .terms import *
+from .cascade import *
+from .propagator import *
+from .closed_forms import *
+from .oracle import *
+from .field_state import *
 
 __version__ = "0.1.0"

@@ -103,8 +103,6 @@ class ModeConfig:
             raise ValueError("mode offsets must start at 0")
         if any(b <= a for a, b in zip(self.m, self.m[1:])):
             raise ValueError("mode offsets must be strictly ascending")
-        if any(x < 0 for x in self.m):
-            raise ValueError("mode offsets must be non-negative")
         if self.dressing_order != tuple(range(self.n_modes)):
             warnings.warn(
                 "spin is closer to resonance with a lower mode than with the "

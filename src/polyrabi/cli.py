@@ -42,7 +42,6 @@ __all__ = [
     "load_experiment",
     "experiment_to_dict",
     "run",
-    "report",
     "main",
 ]
 
@@ -125,39 +124,26 @@ def preset_experiments(name: str) -> tuple[Experiment, ...]:
             Experiment(
                 name="fig1",
                 config=ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0),
-                engine="all",
-                tau=(0.0, 4.0 * math.pi, 1000),
                 channels=(1, 3, -1),
             ),
         )
     if name == "fig3a":
-        out = []
-        for tag, d0 in (("d2", 2.0), ("d13_7", 13.0 / 7.0), ("d6_7", 6.0 / 7.0)):
-            out.append(
-                Experiment(
-                    name=f"fig3a_{tag}",
-                    config=ModeConfig(
-                        j=1, m=(0, 1, 2), omega=(1 / 7, 1 / 7, 1 / 7), delta0=d0
-                    ),
-                    engine="all",
-                    tau=(0.0, 4.0 * math.pi, 1000),
-                )
+        return tuple(
+            Experiment(
+                name=f"fig3a_{tag}",
+                config=ModeConfig(j=1, m=(0, 1, 2), omega=(1 / 7,) * 3, delta0=d0),
             )
-        return tuple(out)
+            for tag, d0 in (("d2", 2.0), ("d13_7", 13.0 / 7.0), ("d6_7", 6.0 / 7.0))
+        )
     if name == "fig3bcd":
-        out = []
-        for tag, om in (("fig3b", 1 / 7), ("fig3c", 1 / 11), ("fig3d", 1 / 15)):
-            out.append(
-                Experiment(
-                    name=tag,
-                    config=ModeConfig(
-                        j=1, m=tuple(range(10)), omega=(om,) * 10, delta0=9.0
-                    ),
-                    engine="all",
-                    tau=(0.0, 2.0 * math.pi / om, 1000),
-                )
+        return tuple(
+            Experiment(
+                name=tag,
+                config=ModeConfig(j=1, m=tuple(range(10)), omega=(om,) * 10, delta0=9.0),
+                tau=(0.0, 2.0 * math.pi / om, 1000),
             )
-        return tuple(out)
+            for tag, om in (("fig3b", 1 / 7), ("fig3c", 1 / 11), ("fig3d", 1 / 15))
+        )
     raise ConfigError(f"unknown preset {name!r}")
 
 
@@ -182,40 +168,48 @@ def _json_object(doc: dict, key: str, default: dict) -> dict:
     return value
 
 
+def _integer(x, what: str) -> int:
+    """A JSON number equal to its integer value, as an int; not a boolean."""
+    integral_float = isinstance(x, float) and x.is_integer()
+    if integral_float or (isinstance(x, int) and not isinstance(x, bool)):
+        return int(x)
+    raise ConfigError(f"{what} must be an integer, got {x!r}")
+
+
 def load_experiment(doc: dict) -> Experiment:
-    """Build an Experiment from its JSON document form."""
+    """Build an Experiment from its JSON document form; absent keys take its defaults."""
     try:
         cfg = doc["config"]
         mode = ModeConfig(
-            j=int(cfg["j"]),
-            m=tuple(int(x) for x in cfg["m"]),
+            j=_integer(cfg["j"], "j"),
+            m=tuple(_integer(x, "mode offset") for x in cfg["m"]),
             omega=tuple(_complex_pair(x) for x in cfg["omega"]),
             delta0=float(cfg["delta0"]),
         )
         tau = _json_object(doc, "tau", {})
+        start, stop, count = Experiment.tau
         weights = _json_object(doc, "weights", {"kind": "flat"})
-        if weights.get("kind", "flat") == "flat":
-            alphas = None
-            wwin = 60
-        elif weights["kind"] == "gaussian":
+        kind = weights.get("kind", "flat")
+        alphas, wwin = None, Experiment.weight_window
+        if kind == "gaussian":
             alphas = tuple(_complex_pair(x) for x in weights["alpha"])
-            wwin = int(weights.get("window", 60))
-        else:
-            raise ConfigError(f"unknown weights kind {weights.get('kind')!r}")
+            wwin = _integer(weights.get("window", wwin), "weight window")
+        elif kind != "flat":
+            raise ConfigError(f"unknown weights kind {kind!r}")
         channels = doc.get("channels")
         return Experiment(
             name=str(doc.get("name", "run")),
             config=mode,
-            engine=str(doc.get("engine", "all")),
+            engine=str(doc.get("engine", Experiment.engine)),
             tau=(
-                float(tau.get("start", 0.0)),
-                float(tau.get("stop", 4.0 * math.pi)),
-                int(tau.get("count", 1000)),
+                float(tau.get("start", start)),
+                float(tau.get("stop", stop)),
+                _integer(tau.get("count", count), "tau count"),
             ),
             weights=alphas,
             weight_window=wwin,
-            window=int(doc.get("window", 200)),
-            channels=tuple(int(s) for s in channels) if channels else None,
+            window=_integer(doc.get("window", Experiment.window), "window"),
+            channels=tuple(_integer(s, "channel") for s in channels) if channels else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -350,16 +344,6 @@ def run(exp: Experiment, outdir: Path) -> RunResult:
         path.write_text(json.dumps(rep.as_dict(), indent=2, sort_keys=True) + "\n")
         result.files.append(path)
     return result
-
-
-def report(analytic_path, oracle_path, out_path=None) -> dict:
-    """Compare two emitted series files; optionally write the report as JSON."""
-    a = read_series_csv(Path(analytic_path))
-    b = read_series_csv(Path(oracle_path))
-    rep = compare(a, b).as_dict()
-    if out_path is not None:
-        Path(out_path).write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-    return rep
 
 
 # -- entry point -------------------------------------------------------------------

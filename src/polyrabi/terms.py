@@ -33,8 +33,8 @@ A sum is evaluated on a time grid with its shifts traced out (read as
 unity).  Each value is the correctly rounded sum of the raw terms' values,
 equal to ``math.fsum`` bit for bit, so sums that cancel exactly evaluate to
 exactly zero; :func:`exact_sum` computes it for a whole grid at once with
-error-free transformations, and calls ``fsum`` only where it cannot
-certify the rounding.
+error-free transformations, and calls ``fsum`` only at points where the
+second error tree leaves a residue.
 """
 
 from __future__ import annotations
@@ -442,15 +442,7 @@ def _exact_block(cols: np.ndarray) -> np.ndarray:
     lo, residues = _two_sum_tree(np.concatenate(errors)) if errors else (0.0, [])
     out = hi + lo
     if residues:
-        r = np.concatenate(residues)
-        mag = np.abs(r).sum(axis=0)
-        open_ = np.flatnonzero(mag)  # columns whose residues are not all zero
-        hi, lo = hi[open_], lo[open_]
-        # bounds |sum(r)| whatever order the abs-sum was accumulated in
-        bound = np.nextafter(mag[open_] * (1.0 + 4 * (len(r) + 2) * 2.0**-53), np.inf)
-        below = hi + np.nextafter(lo - bound, -np.inf)
-        above = hi + np.nextafter(lo + bound, np.inf)
-        for j in open_[below != above]:
+        for j in np.flatnonzero(np.concatenate(residues).any(axis=0)):
             out[j] = math.fsum(cols[:, j])
     return out
 
@@ -462,10 +454,8 @@ def exact_sum(x: np.ndarray) -> np.ndarray:
     26, 1955 (2005)): a TwoSum tree gives ``hi`` and its errors ``e``, a
     second tree on ``e`` gives ``lo`` and residues ``r``, so the exact sum
     is ``hi + lo + sum(r)``.  Where every residue is zero, the IEEE add
-    ``hi + lo`` is the correctly rounded (half-to-even) sum.  Elsewhere the
-    point is certified when ``hi`` plus either end of an outward-rounded
-    enclosure of ``lo + sum(r)`` rounds to the same double; only points
-    that cannot be certified are summed by ``math.fsum``.  Like ``fsum``,
+    ``hi + lo`` is the correctly rounded (half-to-even) sum; the points
+    where a residue is not zero are summed by ``math.fsum``.  Like ``fsum``,
     the result is never -0.0: TwoSum errors never are, so neither is ``lo``.
     Inputs are finite.
     """
@@ -550,19 +540,18 @@ def mat_vec(m: TermMatrix, v: TermVector) -> TermVector:
 
 # The spin basis (1, sigma_z, sigma_+, sigma_-) of 2x2 matrices over (up,
 # down): each basis element as its nonzero entries (row, col, value), and each
-# component as the entries (row, col, weight) it is read from,
-# (Y00 + Y11)/2, (Y00 - Y11)/2, Y01 and Y10.
+# component as the entries (row, col, weight) it is read from.  The elements
+# are orthogonal, so the read weights are the dual basis, each value over its
+# element's squared norm: (Y00 + Y11)/2, (Y00 - Y11)/2, Y01 and Y10.
 _BASIS = (
     ((0, 0, 1.0), (1, 1, 1.0)),
     ((0, 0, 1.0), (1, 1, -1.0)),
     ((0, 1, 1.0),),
     ((1, 0, 1.0),),
 )
-_READ = (
-    ((0, 0, 0.5), (1, 1, 0.5)),
-    ((0, 0, 0.5), (1, 1, -0.5)),
-    ((0, 1, 1.0),),
-    ((1, 0, 1.0),),
+_READ = tuple(
+    tuple((r, c, v / sum(e * e for *_, e in element)) for r, c, v in element)
+    for element in _BASIS
 )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -22,7 +23,6 @@ from polyrabi.cli import (
     main,
     preset_experiments,
     read_series_csv,
-    report,
     run,
 )
 from polyrabi.field_state import FieldWeights
@@ -97,6 +97,17 @@ def test_every_export_exists(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+def test_package_namespace_is_the_library_modules_all():
+    # the CLI is a front end, not part of the library namespace
+    library = [m.name for m in pkgutil.iter_modules(polyrabi.__path__) if m.name != "cli"]
+    declared = [n for m in library for n in importlib.import_module(f"polyrabi.{m}").__all__]
+    assert len(declared) == len(set(declared))  # a star import shadows no name
+    public = {
+        n for n, v in vars(polyrabi).items() if not n.startswith("_") and not inspect.ismodule(v)
+    }
+    assert public == set(declared)
+
+
 class TestExperiment:
     def test_engine_resolution(self):
         exp = small_fig1(None)
@@ -131,6 +142,34 @@ class TestExperiment:
         assert again == exp
 
 
+FIG1_CONFIG = {"j": 1, "m": [0, 2], "omega": [[0.5, 0.0], [0.5, 0.0]], "delta0": 1.0}
+
+
+class TestLoadExperiment:
+    def test_absent_keys_take_the_experiment_defaults(self):
+        cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)
+        assert load_experiment({"config": FIG1_CONFIG}) == Experiment(name="run", config=cfg)
+
+    def test_gaussian_weights_take_the_default_window(self):
+        doc = {"config": FIG1_CONFIG, "weights": {"kind": "gaussian", "alpha": [[3.0, 0.0]]}}
+        exp = load_experiment(doc)
+        assert exp.weights == (3.0 + 0.0j,)
+        assert exp.weight_window == Experiment.weight_window
+
+    def test_integral_floats_read_as_integers(self):
+        def doc(number):  # every integer field written as ``number(value)``
+            return {
+                "config": {**FIG1_CONFIG, "j": number(1), "m": [number(0), number(2)]},
+                "tau": {"count": number(20)},
+                "window": number(60),
+                "weights": {"kind": "gaussian", "alpha": [[3.0, 0.0]], "window": number(40)},
+                "channels": [number(1), number(-1)],
+            }
+
+        echo = json.dumps(experiment_to_dict(load_experiment(doc(float))))
+        assert echo == json.dumps(experiment_to_dict(load_experiment(doc(int))))
+
+
 class TestPresets:
     def test_known_presets(self):
         assert len(preset_experiments("fig1")) == 1
@@ -139,6 +178,16 @@ class TestPresets:
         assert len(preset_experiments("fig3bcd")) == 3
         with pytest.raises(ConfigError):
             preset_experiments("nope")
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # fig3a's 6/7 detuning
+    def test_presets_take_the_experiment_defaults(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(Experiment)}
+        for exp in (e for name in cli.PRESETS for e in preset_experiments(name)):
+            for key in ("engine", "window", "weights", "weight_window"):
+                assert getattr(exp, key) == defaults[key], (exp.name, key)
+            if exp.name not in ("fig3b", "fig3c", "fig3d"):
+                assert exp.tau == defaults["tau"], exp.name
+            assert exp.channels == ((1, 3, -1) if exp.name == "fig1" else None), exp.name
 
     def test_fig1_preset_shape(self):
         (exp,) = preset_experiments("fig1")
@@ -219,28 +268,6 @@ class TestRun:
         assert np.all(series.values <= 1.05)
 
 
-class TestReport:
-    def test_self_comparison_zero(self, tmp_path):
-        exp = small_fig1(tmp_path, engine="cascade")
-        run(exp, tmp_path)
-        rep = report(
-            tmp_path / "t_cascade.csv",
-            tmp_path / "t_cascade.csv",
-            tmp_path / "cmp.json",
-        )
-        assert rep["max_abs"] == 0.0
-        assert rep["rms"] == 0.0
-        assert json.loads((tmp_path / "cmp.json").read_text()) == rep
-
-    def test_grid_mismatch_rejected(self, tmp_path):
-        a = small_fig1(tmp_path, engine="cascade")
-        b = small_fig1(tmp_path, name="u", engine="cascade", tau=(0.0, 2.0, 50))
-        run(a, tmp_path)
-        run(b, tmp_path)
-        with pytest.raises(Exception):
-            report(tmp_path / "t_cascade.csv", tmp_path / "u_cascade.csv")
-
-
 class TestMain:
     def test_preset_run(self, tmp_path):
         code = main(
@@ -298,7 +325,7 @@ class TestMain:
     def _fig1_doc(self, tmp_path, **overrides):
         doc = {
             "name": "run",
-            "config": {"j": 1, "m": [0, 2], "omega": [[0.5, 0.0], [0.5, 0.0]], "delta0": 1.0},
+            "config": FIG1_CONFIG,
             "engine": "all",
             "tau": {"start": 0.0, "stop": 3.0, "count": 20},
             "window": 60,
@@ -375,6 +402,28 @@ class TestMain:
         cfg_path = self._fig1_doc(tmp_path, weights=weights, engine="cascade")
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert phrase in err["error"]
+
+    @pytest.mark.parametrize(
+        "bad", [2.6, True, math.inf, -math.inf, math.nan, "3"],
+        ids=["fraction", "bool", "inf", "-inf", "nan", "string"],
+    )
+    @pytest.mark.parametrize(
+        "field", ["j", "m", "tau.count", "window", "weights.window", "channels"]
+    )
+    def test_non_integer_rejected_before_output(self, tmp_path, capsys, field, bad):
+        overrides = {
+            "j": {"config": {**FIG1_CONFIG, "j": bad}},
+            "m": {"config": {**FIG1_CONFIG, "m": [0, bad]}},
+            "tau.count": {"tau": {"start": 0.0, "stop": 3.0, "count": bad}},
+            "window": {"window": bad},
+            "weights.window": {
+                "weights": {"kind": "gaussian", "alpha": [[3.0, 0.0]], "window": bad}
+            },
+            "channels": {"channels": [1, bad]},
+        }[field]
+        cfg_path = self._fig1_doc(tmp_path, engine="cascade", **overrides)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "must be an integer" in err["error"]
 
     @pytest.mark.parametrize(
         "key, value", [("tau", 5), ("weights", "gaussian")], ids=["tau", "weights"]
