@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .cascade import ModeConfig, run_cascade
 from .closed_forms import resonant_lower_mode, two_mode_u0, weak_field_uge
@@ -153,12 +154,13 @@ PRESETS = ("fig1", "fig3a", "fig3bcd")
 # -- config (de)serialization ---------------------------------------------------
 
 
-def _complex_pair(x) -> complex:
+def _complex_pair(x, what: str) -> complex:
+    """A JSON number or ``[re, im]`` pair of numbers, as a complex."""
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    if isinstance(x, (int, float)):
-        return complex(x)
-    raise ConfigError(f"expected [re, im] pair, got {x!r}")
+        return complex(_real(x[0], what), _real(x[1], what))
+    if isinstance(x, (list, tuple)):
+        raise ConfigError(f"{what} must be a number or an [re, im] pair, got {x!r}")
+    return complex(_real(x, what))
 
 
 def _json_object(doc: dict, key: str, default: dict) -> dict:
@@ -166,6 +168,13 @@ def _json_object(doc: dict, key: str, default: dict) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
     return value
+
+
+def _real(x, what: str) -> float:
+    """A JSON number, as a float; not a boolean or a string."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise ConfigError(f"{what} must be a number, got {x!r}")
 
 
 def _integer(x, what: str) -> int:
@@ -183,8 +192,8 @@ def load_experiment(doc: dict) -> Experiment:
         mode = ModeConfig(
             j=_integer(cfg["j"], "j"),
             m=tuple(_integer(x, "mode offset") for x in cfg["m"]),
-            omega=tuple(_complex_pair(x) for x in cfg["omega"]),
-            delta0=float(cfg["delta0"]),
+            omega=tuple(_complex_pair(x, "coupling") for x in cfg["omega"]),
+            delta0=_real(cfg["delta0"], "delta0"),
         )
         tau = _json_object(doc, "tau", {})
         start, stop, count = Experiment.tau
@@ -192,7 +201,7 @@ def load_experiment(doc: dict) -> Experiment:
         kind = weights.get("kind", "flat")
         alphas, wwin = None, Experiment.weight_window
         if kind == "gaussian":
-            alphas = tuple(_complex_pair(x) for x in weights["alpha"])
+            alphas = tuple(_complex_pair(x, "gaussian alpha") for x in weights["alpha"])
             wwin = _integer(weights.get("window", wwin), "weight window")
         elif kind != "flat":
             raise ConfigError(f"unknown weights kind {kind!r}")
@@ -202,8 +211,8 @@ def load_experiment(doc: dict) -> Experiment:
             config=mode,
             engine=str(doc.get("engine", Experiment.engine)),
             tau=(
-                float(tau.get("start", start)),
-                float(tau.get("stop", stop)),
+                _real(tau.get("start", start), "tau start"),
+                _real(tau.get("stop", stop), "tau stop"),
                 _integer(tau.get("count", count), "tau count"),
             ),
             weights=alphas,
@@ -246,16 +255,34 @@ def experiment_to_dict(exp: Experiment) -> dict:
 # -- series IO ------------------------------------------------------------------
 
 
+def _csv_tokens(column) -> list[str]:
+    """Each value of a column as the ``repr`` of its float (see ``write_series_csv``)."""
+    x = np.ascontiguousarray(column, dtype=float)
+    if not x.size:
+        return []
+    tokens = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(x)
+    shared = (x == 0.0) | ((mag >= 1e-4) & (mag < 1e16))
+    for i in np.flatnonzero(~shared).tolist():
+        tokens[i] = repr(float(x[i]))
+    return tokens
+
+
 def write_series_csv(path: Path, series: PeSeries) -> None:
-    """Write a series as CSV, every value as the ``repr`` of its float.
+    """Write a series as CSV, every value as the ``repr`` of its float, byte for byte.
 
     The channel columns follow the order of ``series.channels``.  Each
-    column is formatted in one pass; ``repr`` gives the shortest string that
-    reads back to the same double.
+    column is formatted in one C call by orjson, which writes the shortest
+    string that reads back to the same double, the digits ``repr`` writes.
+    The two share a layout for zero and for 1e-4 <= |x| < 1e16.  Outside
+    that range they do not: orjson writes ``0.000015``, ``1.5e-7``, ``1e16``
+    and ``null`` where ``repr`` writes ``1.5e-05``, ``1.5e-07``, ``1e+16``
+    and ``nan`` or ``inf``.  So those values, and only those, go through
+    ``repr``.
     """
     cols = list(series.channels or ())
     columns = [series.tau, series.values, *(series.channels[s] for s in cols)]
-    text = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    text = [_csv_tokens(c) for c in columns]
     header = "tau,pe" + "".join(f",channel_{s}" for s in cols)
     with open(path, "w") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*text)), ""]))

@@ -352,9 +352,16 @@ class TermSum:
     # -- evaluation -----------------------------------------------------------
 
     def _addends(self, taus: np.ndarray) -> np.ndarray:
-        """``amp * exp(i*halffreq*tau/2)``, one row per term, one column per point."""
-        z = 0.5j * np.outer(self.halffreq, taus)
+        """``amp * exp(i*halffreq*tau/2)``, one row per term, one column per point.
+
+        The exponentials are computed once per distinct half-frequency bit
+        pattern (a sum carries far fewer of them than terms) and gathered
+        into the term rows.
+        """
+        freqs, row = np.unique(self.halffreq.view(np.int64), return_inverse=True)
+        z = 0.5j * np.outer(freqs.view(float), taus)
         np.exp(z, out=z)
+        z = z[row]
         return np.multiply(self.amp[:, None], z, out=z)
 
     def _shift_rows(self, addends: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:

@@ -160,3 +160,16 @@ def term_bits(terms):
         (complex(t[0]).real.hex(), complex(t[0]).imag.hex(), float(t[1]).hex(), int(t[2]))
         for t in terms
     ]
+
+
+# -- a pure-Python reference for the CSV writer --------------------------------
+
+
+def ref_write_series_csv(path, series):
+    """Reference series writer: every value formatted by ``repr``, one at a time."""
+    cols = list(series.channels or ())
+    columns = [series.tau, series.values, *(series.channels[s] for s in cols)]
+    text = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    header = "tau,pe" + "".join(f",channel_{s}" for s in cols)
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*text)), ""]))

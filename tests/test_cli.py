@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import polyrabi
 from polyrabi import cli
@@ -24,11 +25,14 @@ from polyrabi.cli import (
     preset_experiments,
     read_series_csv,
     run,
+    write_series_csv,
 )
 from polyrabi.field_state import FieldWeights
 from polyrabi.oracle import OracleRun
-from polyrabi.propagator import PropagatorComponents
+from polyrabi.propagator import PeSeries, PropagatorComponents
 from polyrabi.terms import TermSum
+
+from conftest import ref_write_series_csv
 
 
 def small_fig1(tmp_path, **overrides):
@@ -169,6 +173,17 @@ class TestLoadExperiment:
         echo = json.dumps(experiment_to_dict(load_experiment(doc(float))))
         assert echo == json.dumps(experiment_to_dict(load_experiment(doc(int))))
 
+    def test_integer_numbers_read_as_floats(self):
+        def doc(number):  # every real field written as ``number(value)``
+            omega = [number(1), [number(1), number(0)]]
+            return {
+                "config": {**FIG1_CONFIG, "omega": omega, "delta0": number(2)},
+                "tau": {"start": number(0), "stop": number(3)},
+                "weights": {"kind": "gaussian", "alpha": [number(3), [number(0), number(1)]]},
+            }
+
+        assert load_experiment(doc(int)) == load_experiment(doc(float))
+
 
 class TestPresets:
     def test_known_presets(self):
@@ -266,6 +281,64 @@ class TestRun:
         series = read_series_csv(tmp_path / "t_cascade.csv")
         assert np.all(series.values >= -1e-12)
         assert np.all(series.values <= 1.05)
+
+
+# Each value and its neighbours 50 ulps either side: 1e-4 and 1e16 bound the
+# range where orjson's layout and ``repr``'s agree; at 1e-5 and 1e-9 they
+# differ (orjson writes ``0.00001`` and ``1e-9``).  Then the smallest and
+# largest doubles and the signed zeros.
+LAYOUT_EDGES = np.concatenate(
+    [
+        (np.array([x]).view(np.int64) + np.arange(-50, 51)).view(float)
+        for b in (1e-4, 1e-5, 1e-9, 1e16)
+        for x in (b, -b)
+    ]
+    + [np.array([5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 0.0, -0.0])]
+)
+
+
+def writer_and_reference(tmp_dir, series):
+    """The bytes ``write_series_csv`` and the ``repr`` reference write for a series."""
+    write_series_csv(tmp_dir / "got.csv", series)
+    ref_write_series_csv(tmp_dir / "want.csv", series)
+    return (tmp_dir / "got.csv").read_bytes(), (tmp_dir / "want.csv").read_bytes()
+
+
+def column_series(col):
+    col = np.asarray(col, dtype=float)
+    return PeSeries(tau=col, values=col[::-1], channels={2: -col, -1: col})
+
+
+class TestSeriesCsv:
+    @given(st.lists(st.floats(), min_size=1, max_size=60))
+    def test_any_floats_match_repr(self, tmp_path_factory, col):
+        got, want = writer_and_reference(tmp_path_factory.mktemp("csv"), column_series(col))
+        assert got == want
+
+    def test_layout_edges_match_repr(self, tmp_path):
+        special = [math.nan, math.inf, -math.inf]
+        got, want = writer_and_reference(tmp_path, column_series([*LAYOUT_EDGES, *special]))
+        assert got == want
+
+    def test_strided_columns_match_repr(self, tmp_path):
+        grid = np.geomspace(1e-9, 1e18, 900) * np.resize([1.0, -1.0], 900)
+        table = np.stack([grid, grid[::-1], np.sqrt(np.abs(grid))], axis=1)
+        series = PeSeries(tau=grid[::3], values=table[::3, 1], channels={1: table[::3, 2]})
+        assert not series.values.flags.c_contiguous
+        got, want = writer_and_reference(tmp_path, series)
+        assert got == want
+
+    def test_empty_series(self, tmp_path):
+        got, want = writer_and_reference(tmp_path, column_series([]))
+        assert got == want == b"tau,pe,channel_2,channel_-1\n"
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # fig3a's 6/7 detuning
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_preset_series_match_repr(self, tmp_path, preset):
+        assert main(["--preset", preset, "--out", str(tmp_path / "out")]) == 0
+        for path in sorted((tmp_path / "out").glob("*.csv")):
+            ref_write_series_csv(tmp_path / "want.csv", read_series_csv(path))
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes(), path.name
 
 
 class TestMain:
@@ -424,6 +497,24 @@ class TestMain:
         cfg_path = self._fig1_doc(tmp_path, engine="cascade", **overrides)
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert "must be an integer" in err["error"]
+
+    @pytest.mark.parametrize("bad", [True, "3.5", None], ids=["bool", "string", "null"])
+    @pytest.mark.parametrize(
+        "field",
+        ["delta0", "tau.start", "tau.stop", "omega", "omega.im", "weights.alpha"],
+    )
+    def test_non_number_rejected_before_output(self, tmp_path, capsys, field, bad):
+        overrides = {
+            "delta0": {"config": {**FIG1_CONFIG, "delta0": bad}},
+            "tau.start": {"tau": {"start": bad, "stop": 3.0, "count": 20}},
+            "tau.stop": {"tau": {"start": 0.0, "stop": bad, "count": 20}},
+            "omega": {"config": {**FIG1_CONFIG, "omega": [bad, [0.5, 0.0]]}},
+            "omega.im": {"config": {**FIG1_CONFIG, "omega": [[0.5, bad], [0.5, 0.0]]}},
+            "weights.alpha": {"weights": {"kind": "gaussian", "alpha": [[3.0, 0.0], bad]}},
+        }[field]
+        cfg_path = self._fig1_doc(tmp_path, engine="cascade", **overrides)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "must be a number" in err["error"]
 
     @pytest.mark.parametrize(
         "key, value", [("tau", 5), ("weights", "gaussian")], ids=["tau", "weights"]

@@ -1,9 +1,13 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyrabi import cli, run_cascade, undress
 from polyrabi.terms import (
     AMP_DROP_TOL,
     Term,
@@ -462,3 +466,41 @@ class TestMatchesReference:
         for c in (rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)).tolist():
             got = (a * TermSum.single(c)).terms
             assert term_bits(got) == term_bits([Term(x * c, 0.0, k) for k, x in enumerate(amps)])
+
+
+def benchmark_experiments(group):
+    """Every preset, the benchmark's coherent scans for seeds 0 and 1, or its N-sweep."""
+    if group == "presets":
+        return [e for p in cli.PRESETS for e in cli.preset_experiments(p)]
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    if not hasattr(workloads, "coherent_scan"):
+        spec.loader.exec_module(workloads)  # its dataclasses look their module up by name
+    if group == "sweep":
+        return workloads.comb_experiments((4, 8, 12, 16, 20), False)
+    return workloads.coherent_scan(int(group.removeprefix("scan")), False).experiments
+
+
+def per_term_addends(ts, taus):
+    """``amp * exp(i*halffreq*tau/2)`` with one ``exp`` per term, in the same operation order."""
+    z = 0.5j * np.outer(ts.halffreq, taus)
+    np.exp(z, out=z)
+    return np.multiply(ts.amp[:, None], z, out=z)
+
+
+class TestFrequencyTable:
+    # Gathering one exp per distinct half-frequency must leave every addend's
+    # bits as the per-term exp gives them; that holds per element only if
+    # numpy's exp returns the same bits wherever an input sits in an array.
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # fig3a's 6/7 detuning
+    @pytest.mark.parametrize("group", ["presets", "scan0", "scan1", "sweep"])
+    def test_addends_bits_equal_per_term_exp(self, group):
+        gathered = False
+        for exp in benchmark_experiments(group):
+            plus = undress(run_cascade(exp.config)).sigma_plus
+            taus = exp.taugrid()
+            got = plus._addends(taus).view(np.uint64)
+            assert np.array_equal(got, per_term_addends(plus, taus).view(np.uint64)), exp.name
+            gathered |= len(np.unique(plus.halffreq)) < len(plus)
+        assert gathered
