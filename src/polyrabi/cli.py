@@ -63,7 +63,7 @@ class Experiment:
     tau: tuple[float, float, int] = (0.0, 4.0 * math.pi, 1000)
     weights: tuple[complex, ...] | None = None  # None = flat; else gaussian alphas
     weight_window: int = 60
-    window: int = 200  # oracle site-window halfwidth
+    window: int = 200  # oracle leakage-gate boundary; the solution is never cut to it
     channels: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -206,6 +206,8 @@ def load_experiment(doc: dict) -> Experiment:
         elif kind != "flat":
             raise ConfigError(f"unknown weights kind {kind!r}")
         channels = doc.get("channels")
+        if channels is not None:
+            channels = tuple(_integer(s, "channel") for s in channels)
         return Experiment(
             name=str(doc.get("name", "run")),
             config=mode,
@@ -218,7 +220,7 @@ def load_experiment(doc: dict) -> Experiment:
             weights=alphas,
             weight_window=wwin,
             window=_integer(doc.get("window", Experiment.window), "window"),
-            channels=tuple(_integer(s, "channel") for s in channels) if channels else None,
+            channels=channels,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -296,7 +298,7 @@ def read_series_csv(path: Path) -> PeSeries:
         chan_names = [int(h.removeprefix("channel_")) for h in header[2:]]
         data = np.array(
             [[float(x) for x in line.split(",")] for line in fh if line.strip()]
-        )
+        ).reshape(-1, len(header))
     channels = (
         {s: data[:, 2 + i] for i, s in enumerate(chan_names)} if chan_names else None
     )
@@ -394,7 +396,7 @@ def main(argv=None) -> int:
     parser.add_argument("--engine", choices=ENGINES, help="override the engine selection")
     parser.add_argument("--tau", help="grid override start:stop:count")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--window", type=int, help="oracle site-window halfwidth override")
+    parser.add_argument("--window", type=int, help="oracle leakage-gate boundary override")
     args = parser.parse_args(argv)
 
     try:

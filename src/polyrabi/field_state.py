@@ -23,14 +23,9 @@ from .terms import AMP_DROP_TOL
 
 __all__ = [
     "FieldWeights",
-    "WindowOverflowError",
     "gamma_weights",
     "weighted_pe",
 ]
-
-
-class WindowOverflowError(ValueError):
-    """The weight window extends past the lattice the amplitudes live on."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,8 @@ def weighted_pe(
     shift s present (every site row of an oracle run), from the same
     amplitudes.  An oracle run's rows at or below
     :data:`~polyrabi.terms.AMP_DROP_TOL` are left out of the weighting.
+    One set of shift amplitudes serves every initial level, so the weight
+    window is independent of an oracle run's site window.
     """
     taugrid = np.asarray(taugrid, dtype=float)
     if isinstance(source, OracleRun):
@@ -110,8 +107,6 @@ def weighted_pe(
         shifts, rows = source.sigma_plus.trace_by_shift(taugrid)
         channels = dict(zip(shifts, np.abs(rows) ** 2))
     reach = max((abs(s) for s in shifts), default=0)
-    if isinstance(source, OracleRun) and len(weights.levels) // 2 + reach > source.halfwidth:
-        raise WindowOverflowError("weight window plus channel reach exceeds the oracle lattice")
     # Final levels extend one channel reach past the initial-level window.
     finals = np.arange(weights.levels[0] - reach, weights.levels[-1] + reach + 1)
     # gamma(N + s) for every final level N and every shift s.

@@ -65,8 +65,8 @@ __all__ = [
     "compare",
 ]
 
-# Fraction of the initial population tolerated in the outer 10% of the
-# lattice before a run is flagged invalid.
+# Fraction of the initial population tolerated on the sites beyond 0.9 W
+# before a run is flagged invalid.
 LEAKAGE_TOL = 1e-8
 
 # Largest departure of the state's norm from one before a run is flagged
@@ -170,11 +170,11 @@ class OracleRun:
 
     ``up_amplitudes`` holds the comb-frame up-spin amplitudes
     exp(i n tau) <n, up|psi(tau)>, one row per site n = -R..R: R is the
-    window ``halfwidth`` W on the lattice, and the Floquet solver stops
-    short of W where the modes' harmonics end.  Sites beyond R carry no
-    amplitude.  ``valid`` holds when ``leakage``, the largest population
-    on the outer 10% of the site window, is at most :data:`LEAKAGE_TOL` and
-    ``norm_defect`` at most :data:`NORM_TOL`.
+    lattice ``halfwidth`` W, and for the Floquet solver the reach 2K of the
+    modes' harmonics, whatever W is.  Sites beyond R carry no amplitude.
+    ``valid`` holds when ``leakage``, the largest population on the sites
+    beyond 0.9 W, is at most :data:`LEAKAGE_TOL` and ``norm_defect`` at
+    most :data:`NORM_TOL`.
     """
 
     halfwidth: int
@@ -205,7 +205,8 @@ class OracleRun:
 def _oracle_run(halfwidth, taugrid, up, down, channels) -> OracleRun:
     """The run record, from the comb-frame amplitudes of both spins on sites -R..R.
 
-    The leakage gate watches the sites beyond 0.9 ``halfwidth``.
+    ``halfwidth`` W is the boundary of the leakage gate, which watches the
+    sites beyond 0.9 W; R may be smaller or larger than W.
     """
     pop = up.real**2 + up.imag**2 + down.real**2 + down.imag**2  # (sites, tau)
     reach = len(up) // 2
@@ -350,10 +351,10 @@ def floquet_evolve(
         G_n(tau) = sum_{a,m} exp(i (m - eps_a) tau) c_{a,m} conj(c_{a,m-n,down})
 
     one matrix product per block of tau over the harmonics |m| <= K that
-    exceed :data:`HARMONIC_CUT`, for the sites |n| <= min(2K, W).
-    ``halfwidth`` W keeps its lattice meaning: the site window, whose outer
-    10% the leakage gate watches and beyond which no amplitude is kept, so
-    the norm defect also counts what a too-narrow window loses.
+    exceed :data:`HARMONIC_CUT`, for every site |n| <= 2K they reach.  The
+    solution is never cut: ``halfwidth`` W only bounds the leakage gate,
+    which flags a run whose population passes 0.9 W, and the norm defect
+    measures the integration error alone.
     """
     _check_halfwidth(cfg, halfwidth)
     taugrid = np.asarray(taugrid, dtype=float)
@@ -363,7 +364,7 @@ def floquet_evolve(
     reach = int(np.max(np.abs(freqs[np.max(np.abs(coef), axis=(0, 1)) > HARMONIC_CUT])))
     harmonics = np.arange(-reach, reach + 1)
     coef = coef[:, :, harmonics % steps]  # (spin, mode, harmonic)
-    sites = np.arange(-min(halfwidth, 2 * reach), min(halfwidth, 2 * reach) + 1)
+    sites = np.arange(-2 * reach, 2 * reach + 1)
 
     # conj(c_{a,m-n,down}), zero where m - n is past the reach: (mode, m, n)
     lag = harmonics[:, None] - sites[None, :]

@@ -173,3 +173,44 @@ def ref_write_series_csv(path, series):
     header = "tau,pe" + "".join(f",channel_{s}" for s in cols)
     with open(path, "w") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*text)), ""]))
+
+
+# -- an independent reference for the undressed propagator ---------------------
+
+
+def _stage_matrix(p, halffreq, taus, thetas):
+    """A stage's 2x2 per (theta, tau), over (up, down), from its StageParams alone.
+
+    ((c e-, -x b_s e+), (conj(x) b_-s e-, c e+)) with c = sqrt((1 + detuning_norm)/2),
+    x = chi_norm/(2c), e+- = exp(+-i*halffreq*tau/2) and b_s = exp(-i*s*theta).
+    """
+    c = math.sqrt(0.5 * (1.0 + p.detuning_norm))
+    x = p.chi_norm / (2.0 * c)
+    e = np.exp(0.5j * halffreq * taus)
+    b = np.exp(-1j * p.mode_shift * thetas)
+    out = np.empty(np.broadcast(e, b).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c / e
+    out[..., 0, 1] = -x * b * e
+    out[..., 1, 0] = np.conj(x) / (b * e)
+    out[..., 1, 1] = c * e
+    return out
+
+
+def stage_chain_plus(cr, taus, thetas=(0.0,)):
+    """<up|U|down> of the undressed propagator, one row per phase theta, one column per tau.
+
+    U = W_1 ... W_{f-1} (W_f S_f^dag) S_{f-1}^dag ... S_1^dag over the stages
+    of ``cr``, anchor included, with S a stage's dressing, W = S R its
+    dressing and rotation at ``dm_next`` (at ``splitting`` for the final
+    stage f), and every ladder displacement b_s read as exp(-i*s*theta), so
+    theta = 0 is the equal-weight trace and a Fourier series over theta
+    splits it by shift.  Shares no code with the term algebra.
+    """
+    taus = np.asarray(taus, dtype=float)[None, :]
+    thetas = np.asarray(thetas, dtype=float)[:, None]
+    final = cr.stages[-1]
+    u = np.eye(2)
+    for p in reversed(cr.stages):
+        w = _stage_matrix(p, final.splitting if p is final else p.dm_next, taus, thetas)
+        u = w @ u @ _stage_matrix(p, 0.0, taus, thetas).conj().swapaxes(-1, -2)
+    return u[..., 0, 1]

@@ -145,6 +145,13 @@ class TestExperiment:
         again = load_experiment(json.loads(json.dumps(doc)))
         assert again == exp
 
+    @pytest.mark.parametrize(
+        "channels", [None, (), (1,), (1, 3, -1)], ids=["none", "empty", "one", "three"]
+    )
+    def test_channels_round_trip(self, channels):
+        exp = small_fig1(None, channels=channels)
+        assert load_experiment(json.loads(json.dumps(experiment_to_dict(exp)))) == exp
+
 
 FIG1_CONFIG = {"j": 1, "m": [0, 2], "omega": [[0.5, 0.0], [0.5, 0.0]], "delta0": 1.0}
 
@@ -331,6 +338,10 @@ class TestSeriesCsv:
     def test_empty_series(self, tmp_path):
         got, want = writer_and_reference(tmp_path, column_series([]))
         assert got == want == b"tau,pe,channel_2,channel_-1\n"
+        back = read_series_csv(tmp_path / "got.csv")
+        assert list(back.channels) == [2, -1]
+        for col in (back.tau, back.values, *back.channels.values()):
+            assert col.shape == (0,)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # fig3a's 6/7 detuning
     @pytest.mark.parametrize("preset", cli.PRESETS)
@@ -524,12 +535,20 @@ class TestMain:
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert f"'{key}' must be a JSON object" in err["error"]
 
-    def test_window_overflow_rejected_before_output(self, tmp_path, capsys):
-        # the weight window's reach is known only once the oracle has run
+    def test_weight_window_past_the_oracle_window_runs(self, tmp_path):
+        # the oracle window gates the reference and cuts nothing, so a weight
+        # window reaching past it changes no output but the config echo
         weights = {"kind": "gaussian", "alpha": [[5.0, 0.0]], "window": 40}
-        cfg_path = self._fig1_doc(tmp_path, window=20, weights=weights)
-        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
-        assert "window" in err["error"]
+        for window in (20, 200):
+            cfg_path = self._fig1_doc(tmp_path, window=window, weights=weights)
+            assert main(["--config", str(cfg_path), "--out", str(tmp_path / str(window))]) == 0
+        narrow, wide = (sorted((tmp_path / w).iterdir()) for w in ("20", "200"))
+        assert [p.name for p in narrow] == [p.name for p in wide]
+        for a, b in zip(narrow, wide):
+            if a.name == "run_config.json":
+                assert json.loads(a.read_text()) == {**json.loads(b.read_text()), "window": 20}
+            else:
+                assert a.read_bytes() == b.read_bytes(), a.name
 
     def test_unwritable_out_rejected(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -5,12 +5,8 @@ import pytest
 
 from polyrabi.cascade import ModeConfig, run_cascade
 from polyrabi.cli import Experiment, read_series_csv, run
-from polyrabi.field_state import (
-    WindowOverflowError,
-    gamma_weights,
-    weighted_pe,
-)
-from polyrabi.oracle import build_hamiltonian, evolve
+from polyrabi.field_state import gamma_weights, weighted_pe
+from polyrabi.oracle import build_hamiltonian, evolve, floquet_evolve
 from polyrabi.propagator import excitation_probability, undress
 
 from conftest import bits, fsum_trace
@@ -106,11 +102,11 @@ class TestWeightedPe:
         expect = weighted_pe(fig1_u0, w, taus).values
         assert np.max(np.abs(got - expect)) < 3e-2
 
-    def test_window_overflow(self):
-        cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)
-        taus = np.linspace(0, 1, 5)
-        h, basis = build_hamiltonian(cfg, 20)
-        run = evolve(h, basis, taus)
+    def test_weight_window_may_pass_the_site_window(self, fig1_cfg, taus_4pi, fig1_oracle):
+        # one set of shift amplitudes serves every initial level, so a weight
+        # window wider than the oracle's site window weights correctly
         w = gamma_weights([5.0], 40)
-        with pytest.raises(WindowOverflowError):
-            weighted_pe(run, w, taus)
+        want = weighted_pe(fig1_oracle, w, taus_4pi).values  # the W = 200 lattice
+        narrow = evolve(*build_hamiltonian(fig1_cfg, 20), taus_4pi)
+        for run in (narrow, floquet_evolve(fig1_cfg, 13, taus_4pi)):
+            assert np.max(np.abs(weighted_pe(run, w, taus_4pi).values - want)) <= 1e-12

@@ -32,7 +32,7 @@ from polyrabi.propagator import (
 )
 from polyrabi.terms import mat_vec
 
-from conftest import combs
+from conftest import bits, combs
 
 
 def lattice(cfg, halfwidth, taus, channels=None):
@@ -46,6 +46,16 @@ def amplitude_dev(a, b, halfwidth):
         float(np.max(np.abs(a.shift_amplitude(s) - b.shift_amplitude(s))))
         for s in range(-halfwidth, halfwidth + 1)
     )
+
+
+def assert_window_free(cfg, taus, channels):
+    """Floquet P_e and channels are bit-identical on the narrowest window and at W = 200."""
+    narrow = floquet_evolve(cfg, min_halfwidth(cfg) + 1, taus, channels=channels)
+    wide = floquet_evolve(cfg, 200, taus, channels=channels)
+    assert bits(narrow.pe.values).tolist() == bits(wide.pe.values).tolist()
+    assert list(narrow.pe.channels) == list(wide.pe.channels)
+    for s in channels:
+        assert bits(narrow.pe.channels[s]).tolist() == bits(wide.pe.channels[s]).tolist()
 
 
 def shipped_experiments():
@@ -217,10 +227,8 @@ class TestFloquetEvolve:
     @settings(max_examples=12)
     @given(cfg=combs(max_modes=5), real=st.booleans(), narrow=st.booleans())
     def test_matches_lattice_on_random_combs(self, cfg, real, narrow):
-        # A window just above min_halfwidth holds the amplitudes it spans
-        # exactly, but the excitation probability sums over the window and
-        # converges only on a wide one (on either solver), so it is compared
-        # there alone.  The W = 200 lattice is the reference for both.
+        # The W = 200 lattice is the reference for both windows.  A window
+        # just above min_halfwidth may flag leakage, but it cuts nothing.
         if real:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ResonanceOrderWarning)
@@ -234,9 +242,19 @@ class TestFloquetEvolve:
         assert amplitude_dev(run, ref, halfwidth) <= 1e-10
         for s in channels:
             assert np.max(np.abs(run.pe.channels[s] - ref.pe.channels[s])) <= 1e-10
+        assert np.max(np.abs(run.pe.values - ref.pe.values)) <= 1e-10
         if not narrow:
             assert run.valid
-            assert np.max(np.abs(run.pe.values - ref.pe.values)) <= 1e-10
+
+    @pytest.mark.parametrize("exp", shipped_experiments(), ids=lambda exp: exp.name)
+    def test_window_never_cuts_presets(self, exp):
+        channels = sorted({*exp.config.mode_shifts, *(exp.channels or ())})
+        assert_window_free(exp.config, exp.taugrid(), channels)
+
+    @settings(max_examples=8)
+    @given(cfg=combs())
+    def test_window_never_cuts_random_combs(self, cfg):
+        assert_window_free(cfg, np.linspace(0.0, 4.0 * math.pi, 64), cfg.mode_shifts)
 
     def test_single_mode_matches_closed_form(self):
         cfg = ModeConfig(j=1, m=(0,), omega=(0.5,), delta0=0.0)
@@ -250,14 +268,24 @@ class TestFloquetEvolve:
         run = floquet_evolve(cfg, 13, np.linspace(0.0, 100.0, 40))
         assert not run.valid
 
-    def test_norm_defect_flags_what_the_window_drops(self):
-        # shifts -2 and 2 never reach the odd edge sites -9 and 9, so only the
-        # norm sees the population that spreads past the window
+    def test_leakage_flags_a_narrow_window(self):
+        # shifts -2 and 2 never reach the odd edge sites -9 and 9, but the
+        # solution is not cut at the window: the population past 0.9 W shows
+        # as leakage, the norm stays whole and P_e stays exact
         cfg = ModeConfig(j=-2, m=(0, 4), omega=(1.0, 1.0), delta0=4.0)
-        run = floquet_evolve(cfg, 9, np.linspace(0.0, 4.0 * math.pi, 100))
-        assert run.leakage <= LEAKAGE_TOL
-        assert run.norm_defect > NORM_TOL
+        taus = np.linspace(0.0, 4.0 * math.pi, 100)
+        run = floquet_evolve(cfg, 9, taus)
+        assert run.leakage > LEAKAGE_TOL
+        assert run.norm_defect <= NORM_TOL
         assert not run.valid
+        assert np.max(np.abs(run.pe.values - lattice(cfg, 200, taus).pe.values)) <= 1e-12
+
+    def test_valid_narrow_window_matches_wide_lattice(self):
+        cfg = ModeConfig(j=-2, m=(0, 4), omega=(0.5, 0.5), delta0=2.5)
+        taus = np.linspace(0.0, 4.0 * math.pi, 100)
+        run = floquet_evolve(cfg, 9, taus)
+        assert run.valid
+        assert np.max(np.abs(run.pe.values - lattice(cfg, 200, taus).pe.values)) <= 1e-12
 
     def test_window_too_small(self):
         cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)

@@ -15,7 +15,9 @@ from polyrabi.propagator import (
 )
 from polyrabi.terms import TermSum
 
-from conftest import bits, combs, dominant_peak, fsum_trace, termwise_dev
+from conftest import bits, combs, dominant_peak, fsum_trace, stage_chain_plus, termwise_dev
+
+CHAIN_TAUS = np.linspace(0.0, 4.0 * math.pi, 64)
 
 
 def fig1_stages():
@@ -146,6 +148,29 @@ class TestUndress:
         assert pe.values[0] == 0.0
         assert all(c[0] == 0.0 for c in pe.channels.values())
         assert u0.hermiticity_defect() == 0.0
+
+    @settings(max_examples=120)
+    @given(combs(max_modes=8))
+    def test_trace_matches_stage_chain(self, cfg):
+        # the 2x2 stage chain, multiplied out per tau, checks the term algebra
+        # to roundoff rather than to the truncation error
+        cr = run_cascade(cfg)
+        got = undress(cr).sigma_plus.trace_evaluate_many(CHAIN_TAUS)
+        assert np.max(np.abs(got - stage_chain_plus(cr, CHAIN_TAUS)[0])) <= 1e-12
+
+    @settings(max_examples=40)
+    @given(combs(max_modes=8))
+    def test_shift_rows_match_stage_chain(self, cfg):
+        # one inverse FFT over the phase theta of b_s = exp(-i s theta) splits
+        # the chain by shift; more phases than twice the reach leave no alias
+        cr = run_cascade(cfg)
+        shifts, rows = undress(cr).sigma_plus.trace_by_shift(CHAIN_TAUS)
+        n = 1 << (2 * max(map(abs, shifts), default=0)).bit_length()
+        thetas = 2.0 * math.pi * np.arange(n) / n
+        want = np.fft.ifft(stage_chain_plus(cr, CHAIN_TAUS, thetas), axis=0)
+        rows_at = np.array(shifts, dtype=int) % n
+        assert np.max(np.abs(rows - want[rows_at]), initial=0.0) <= 1e-12
+        assert np.max(np.abs(np.delete(want, rows_at, axis=0)), initial=0.0) <= 1e-12
 
     def test_three_mode_term_inventory(self):
         cfg = ModeConfig(j=1, m=(0, 1, 2), omega=(1 / 7,) * 3, delta0=2.0)
