@@ -12,10 +12,11 @@ code with the analytic machinery:
 
 * :func:`floquet_evolve`, the one the CLI runs, propagates H(t) over one
   period with 4th-order Magnus steps (Blanes et al., Phys. Rep. 470, 151
-  (2009)) and reads every site amplitude off the Floquet modes of the
-  period's monodromy: the comb-frame amplitude of site n is the n-th
-  Fourier coefficient, over the drive phase theta, of
-  ``U(theta + tau, theta)|down>``.
+  (2009)) and takes the Floquet modes of the period's monodromy as Fourier
+  series: the comb-frame amplitude of site n is the n-th Fourier
+  coefficient, over the drive phase theta, of ``U(theta + tau, theta)|down>``.
+  P_e, the channels and the norm come from the modes' harmonics directly,
+  and the site rows only when something reads them.
 * :func:`build_hamiltonian` and :func:`evolve` diagonalize the truncated
   lattice exactly and evolve the state by eigenphase rotation.  They are
   grid-independent and exact to roundoff, and the tests hold the Floquet
@@ -29,18 +30,21 @@ out of the rotation: the lattice eigenstates are localized, so most of them
 have no weight on site 0, and the part of the state they carry has 2-norm at
 most ``sqrt(dim) * OVERLAP_CUT`` at every time.
 
-Both hand the comb-frame amplitudes ``exp(i n tau) <n, sigma|psi>`` of both
-spins (the diagonal lattice energy rotated away) to one constructor of the
-run record, :class:`OracleRun`, which alone computes P_e (the squared
-coherent sum of the up amplitudes over sites), the channels, the norm
-defect, the leakage and ``valid``.  All comparisons between the analytic
-machinery and a reference go through :func:`compare`.
+Both hand one constructor of the run record, :class:`OracleRun`, the same
+reads of the comb-frame amplitudes ``exp(i n tau) <n, sigma|psi>`` (the
+diagonal lattice energy rotated away): their coherent sum over the up sites,
+the requested channels' rows, the squared norm and the population past the
+leakage gate's boundary.  It alone turns these into P_e, the channel
+probabilities, the norm defect, the leakage and ``valid``.  All comparisons
+between the analytic machinery and a reference go through :func:`compare`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -92,8 +96,13 @@ MAX_PERIOD_STEPS = 1 << 18
 # Harmonics of the Floquet modes at or below this modulus are left out.
 HARMONIC_CUT = 64 * np.finfo(float).eps
 
-# Complex entries of one tau block of the Floquet solver's amplitudes, so its
-# working arrays stay near 1 MB whatever the grid length.
+# Magnus steps between the samples the Floquet modes are first read from;
+# the sampling gets finer while the modes' harmonics reach past a quarter of
+# the samples.
+SAMPLE_STRIDE = 16
+
+# Complex entries of one tau block of the Floquet solver's harmonic phases,
+# so its working arrays stay near 1 MB whatever the grid length.
 BLOCK_SIZE = 1 << 16
 
 
@@ -172,6 +181,7 @@ class OracleRun:
     exp(i n tau) <n, up|psi(tau)>, one row per site n = -R..R: R is the
     lattice ``halfwidth`` W, and for the Floquet solver the reach 2K of the
     modes' harmonics, whatever W is.  Sites beyond R carry no amplitude.
+    The Floquet solver builds these rows only when they are first read.
     ``valid`` holds when ``leakage``, the largest population on the sites
     beyond 0.9 W, is at most :data:`LEAKAGE_TOL` and ``norm_defect`` at
     most :data:`NORM_TOL`.
@@ -179,11 +189,16 @@ class OracleRun:
 
     halfwidth: int
     tau: np.ndarray
-    up_amplitudes: np.ndarray  # (sites, tau), comb frame
     pe: PeSeries
     norm_defect: float
     leakage: float
     valid: bool
+    _rows: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def up_amplitudes(self) -> np.ndarray:
+        """(sites, tau), comb frame."""
+        return self._rows()
 
     def shift_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Every shift in ascending order and its amplitude: the site rows, reversed."""
@@ -196,36 +211,39 @@ class OracleRun:
         These are the amplitudes that sum coherently across channels; their
         coherent total reproduces ``pe.values``.
         """
-        reach = len(self.up_amplitudes) // 2
-        if abs(shift) > reach:
-            return np.zeros(self.tau.shape, dtype=complex)
-        return self.up_amplitudes[reach - shift]
+        return _shift_row(self.up_amplitudes, shift)
 
 
-def _oracle_run(halfwidth, taugrid, up, down, channels) -> OracleRun:
-    """The run record, from the comb-frame amplitudes of both spins on sites -R..R.
+def _shift_row(rows: np.ndarray, shift: int) -> np.ndarray:
+    """Row -``shift`` of site rows -R..R, zero past R."""
+    reach = len(rows) // 2
+    if abs(shift) > reach:
+        return np.zeros(rows.shape[1], dtype=complex)
+    return rows[reach - shift]
 
-    ``halfwidth`` W is the boundary of the leakage gate, which watches the
-    sites beyond 0.9 W; R may be smaller or larger than W.
+
+def _oracle_run(halfwidth, taugrid, total, channels, norm, edge, rows) -> OracleRun:
+    """The run record, from what a run reads of the state on ``taugrid``.
+
+    ``total`` is the P_e amplitude, the coherent sum of the comb-frame up
+    amplitudes over every site, and ``channels`` maps each requested shift
+    to its amplitude (or is None).  ``norm`` is the squared norm of the
+    state and ``edge`` its population on the sites beyond 0.9 ``halfwidth``
+    W, the leakage gate's boundary.  ``rows`` returns the up amplitudes of
+    sites -R..R (R may be smaller or larger than W) when they are first read.
     """
-    pop = up.real**2 + up.imag**2 + down.real**2 + down.imag**2  # (sites, tau)
-    reach = len(up) // 2
-    edge = np.abs(np.arange(-reach, reach + 1)) > 0.9 * halfwidth
-    norm_defect = float(np.max(np.abs(np.sqrt(np.sum(pop, axis=0)) - 1.0)))
-    leakage = float(np.max(np.sum(pop[edge], axis=0)))
-    run = OracleRun(
+    norm_defect = float(np.max(np.abs(np.sqrt(norm) - 1.0)))
+    leakage = float(np.max(edge))
+    chan = None if channels is None else {s: np.abs(a) ** 2 for s, a in channels.items()}
+    return OracleRun(
         halfwidth=halfwidth,
         tau=taugrid,
-        up_amplitudes=up,
-        pe=PeSeries(tau=taugrid, values=np.abs(np.sum(up, axis=0)) ** 2),
+        pe=PeSeries(tau=taugrid, values=np.abs(total) ** 2, channels=chan),
         norm_defect=norm_defect,
         leakage=leakage,
         valid=leakage <= LEAKAGE_TOL and norm_defect <= NORM_TOL,
+        _rows=rows,
     )
-    if channels is None:
-        return run
-    chan = {int(s): np.abs(run.shift_amplitude(int(s))) ** 2 for s in channels}
-    return replace(run, pe=replace(run.pe, channels=chan))
 
 
 def evolve(
@@ -259,7 +277,17 @@ def evolve(
     site_phase = np.exp(1j * np.outer(basis.sites, taugrid))
     up = site_phase * psi[basis.up_indices(), :]
     down = site_phase * psi[basis.down_indices(), :]
-    return _oracle_run(basis.halfwidth, taugrid, up, down, channels)
+    pop = up.real**2 + up.imag**2 + down.real**2 + down.imag**2  # (sites, tau)
+    edge = np.abs(basis.sites) > 0.9 * basis.halfwidth
+    return _oracle_run(
+        basis.halfwidth,
+        taugrid,
+        np.sum(up, axis=0),
+        None if channels is None else {int(s): _shift_row(up, int(s)) for s in channels},
+        np.sum(pop, axis=0),
+        np.sum(pop[edge], axis=0),
+        partial(np.asarray, up),
+    )
 
 
 def _period_steps(cfg: ModeConfig) -> int:
@@ -283,32 +311,41 @@ def _compose(a1, b1, a2, b2):
     return a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()
 
 
-def _period_prefix(cfg: ModeConfig, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """U(t_k, 0) at t_k = 2*pi*k/steps, k = 0..steps, as SU(2) pairs (a, b).
+def _magnus_steps(cfg: ModeConfig, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """U(t_k + h, t_k) at t_k = k*h, h = 2*pi/steps, k = 0..steps-1, as SU(2) pairs (a, b).
 
-    Each step is the two-point Gauss Magnus exponent of H(t), exponentiated
-    in closed form, exp(-i w.sigma) = cos|w| - i sin|w| w.sigma/|w|.  The
-    drive at each node set is one FFT of the modes' couplings, and the
-    cumulative products are an inclusive scan in log2(steps) batched rounds.
+    Each step is the two-point Gauss Magnus exponent w.sigma of H(t),
+    exponentiated in closed form, exp(-i w.sigma) = cos|w| - i sin|w|
+    w.sigma/|w|.  The drive f at each node set is one FFT of the modes'
+    couplings; the transverse part of w is the one complex number
+    w_x - i w_y.
     """
     h = 2.0 * math.pi / steps
     shifts = np.array(cfg.mode_shifts)
     half = 0.5 * np.array(cfg.omega, dtype=complex)
-    fields = []
-    for node in (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0):
-        # sum_k (Omega_k/2) exp(-i s_k (t_k + node*h)) at every step
-        coef = np.zeros(steps, dtype=complex)
-        coef[shifts % steps] = half * np.exp(-1j * shifts * node * h)
-        f = np.fft.fft(coef)
-        fields.append(np.stack([f.real, -f.imag, np.full(steps, 0.5 * cfg.omega0)], axis=1))
-    a1, a2 = fields
-    w = 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 6.0) * h * h * np.cross(a2, a1)
-    r = np.sqrt(np.sum(w * w, axis=1))
-    sinc = np.sinc(r / math.pi)
-    a = np.concatenate([[1.0 + 0.0j], np.cos(r) - 1j * sinc * w[:, 2]])
-    b = np.concatenate([[0.0j], -sinc * (w[:, 1] + 1j * w[:, 0])])
+    nodes = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+    # sum_k (Omega_k/2) exp(-i s_k (t_k + node*h)) at every step, per node
+    coef = np.zeros((2, steps), dtype=complex)
+    coef[:, shifts % steps] = half * np.exp(-1j * np.outer(nodes * h, shifts))
+    f1, f2 = np.fft.fft(coef, axis=1)
+    bare = 0.5 * cfg.omega0
+    skew = (math.sqrt(3.0) / 6.0) * h * h  # weight of the commutator term
+    wt = 0.5 * h * (f1 + f2) - 1j * (skew * bare) * (f1 - f2)
+    wz = h * bare + skew * (f2 * f1.conj()).imag
+    r = np.sqrt(wt.real**2 + wt.imag**2 + wz**2)
+    s = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)
+    return np.cos(r) - 1j * s * wz, -1j * s * wt
+
+
+def _prefix(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The identity and every running product of the SU(2) factors (a, b), later ones left.
+
+    An inclusive scan in log2(len(a)) batched rounds.
+    """
+    a = np.concatenate([[1.0 + 0.0j], a])
+    b = np.concatenate([[0.0j], b])
     d = 1
-    while d < steps:
+    while d < len(a) - 1:
         a[d + 1 :], b[d + 1 :] = _compose(a[d + 1 :], b[d + 1 :], a[1:-d], b[1:-d])
         d *= 2
     return a, b
@@ -317,21 +354,119 @@ def _period_prefix(cfg: ModeConfig, steps: int) -> tuple[np.ndarray, np.ndarray]
 def _floquet_modes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quasienergies and the Fourier coefficients of the Floquet modes.
 
-    The monodromy U_F = U(2*pi, 0) = cos(phi) - i sin(phi) n.sigma shares its
+    ``(a, b)`` is U(t_k, 0) at L + 1 evenly spaced t_k = 2*pi*k/L.  The
+    monodromy U_F = U(2*pi, 0) = cos(phi) - i sin(phi) n.sigma shares its
     eigenvectors with the Hermitian matrix i(U_F - U_F^dag)/2 = sin(phi)
     n.sigma, whose ``eigh`` stays orthonormal as phi nears 0 or pi (where
     ``np.linalg.eig`` does not).  Mode a, exp(i eps_a t) U(t, 0) v_a, is
     periodic; its coefficients come back as (spin, mode, harmonic), in FFT
-    order, with quasienergies eps_a in [-1/2, 1/2).
+    order of an L-point FFT, with quasienergies eps_a in [-1/2, 1/2).
     """
-    steps = len(a) - 1
+    samples = len(a) - 1
     u = np.array([[a, b], [-b.conj(), a.conj()]])  # (row, col, k)
     monodromy = u[:, :, -1]
     _, vecs = np.linalg.eigh(0.5j * (monodromy - monodromy.conj().T))
     eps = -np.angle(np.einsum("ia,ij,ja->a", vecs.conj(), monodromy, vecs)) / (2.0 * math.pi)
-    t = 2.0 * math.pi / steps * np.arange(steps)
+    t = 2.0 * math.pi / samples * np.arange(samples)
     modes = np.einsum("ijk,ja->iak", u[:, :, :-1], vecs) * np.exp(1j * np.outer(eps, t))
-    return eps, np.fft.fft(modes, axis=-1) / steps
+    return eps, np.fft.fft(modes, axis=-1) / samples
+
+
+def _floquet_harmonics(
+    cfg: ModeConfig, stride: int = SAMPLE_STRIDE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quasienergies and the harmonics c_{sigma,a,m}, |m| <= K, of the Floquet modes.
+
+    The period's Magnus steps are multiplied pairwise into products of
+    ``stride`` steps, and the modes are sampled at the L = steps/stride
+    points between them.  While a harmonic above :data:`HARMONIC_CUT` lies
+    past L/4, where a coarser sampling could alias it, L doubles, up to one
+    sample per step.  K is the highest such harmonic; the coefficients come
+    back as (spin, mode, m) with m = -K..K.
+    """
+    steps = _period_steps(cfg)
+    levels = [_magnus_steps(cfg, steps)]  # products of 1, 2, 4, ... steps
+    while len(levels[-1][0]) > steps // stride:
+        a, b = levels[-1]
+        levels.append(_compose(a[1::2], b[1::2], a[::2], b[::2]))
+    while True:
+        a, b = levels.pop()
+        eps, coef = _floquet_modes(*_prefix(a, b))
+        samples = len(a)
+        freqs = np.rint(np.fft.fftfreq(samples, 1.0 / samples)).astype(int)
+        reach = int(np.max(np.abs(freqs[np.max(np.abs(coef), axis=(0, 1)) > HARMONIC_CUT])))
+        if 4 * reach <= samples or not levels:
+            return eps, coef[:, :, np.arange(-reach, reach + 1) % samples]
+
+
+def _phase_blocks(taugrid: np.ndarray, eps: np.ndarray, top: int):
+    """Blocks of ``taugrid``: the slice, exp(i m tau) as (m, tau) for m = -top..top,
+    and exp(-i eps_a tau) as (mode, tau).
+
+    The phases of m = 1..top are built by doubling: those of 2^j..2^(j+1)-1
+    are those of 0..2^j-1 times one ``exp`` of 2^j tau, so each is a
+    product of at most log2(top) + 1 exponentials.  Negative m take the
+    conjugates.
+    """
+    block = max(1, BLOCK_SIZE // (2 * top + 1))
+    for i in range(0, len(taugrid), block):
+        tau = taugrid[i : i + block]
+        phase = np.empty((2 * top + 1, len(tau)), dtype=complex)
+        pos = phase[top:]
+        pos[0] = 1.0
+        n = 1
+        while n <= top:
+            pos[n : 2 * n] = pos[: min(n, top + 1 - n)] * np.exp(1j * n * tau)
+            n *= 2
+        phase[:top] = pos[:0:-1].conj()
+        yield slice(i, i + block), phase, np.exp(-1j * np.outer(eps, tau))
+
+
+def _mode_sum(phase: np.ndarray, turn: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_a exp(-i eps_a tau) sum_m w_{(a,column),m} exp(i m tau), as (column, tau)."""
+    x = (weights @ phase).reshape(2, -1, phase.shape[1])
+    return x[0] * turn[0] + x[1] * turn[1]
+
+
+def _site_weights(coef: np.ndarray, spins, sites) -> np.ndarray:
+    """Weights c_{spin,a,m} conj(c_{down,a,m-n}) of sites n, as ((mode, spin, n), m).
+
+    Zero where m - n is past the reach K.
+    """
+    reach = coef.shape[-1] // 2
+    lag = np.arange(-reach, reach + 1) - np.asarray(sites, dtype=int)[:, None]  # (n, m)
+    inside = np.abs(lag) <= reach
+    start = coef[1].conj()[:, np.where(inside, lag + reach, 0)]  # (mode, n, m)
+    start[:, ~inside] = 0.0
+    weights = coef[list(spins)].transpose(1, 0, 2)[:, :, None, :] * start[:, None]
+    return weights.reshape(-1, 2 * reach + 1)  # (mode, spin, n) rows
+
+
+def _norm_weights(coef: np.ndarray) -> np.ndarray:
+    """S_ab(d) R_ab(-d) for d = -2K..2K, as ((a, b), d).
+
+    S_ab(d) = sum_{sigma,m} c_{sigma,a,m+d} conj(c_{sigma,b,m}) and
+    R_ab(d) = sum_m c_{down,b,m+d} conj(c_{down,a,m}), so that by Parseval
+    the squared norm summed over every site of both spins is
+    sum_{a,b} exp(-i (eps_a - eps_b) tau) sum_d exp(i d tau) S_ab(d) R_ab(-d).
+    """
+    up, down = coef
+    cols = []
+    for a in (0, 1):
+        for b in (0, 1):
+            s = np.correlate(up[a], up[b], "full") + np.correlate(down[a], down[b], "full")
+            cols.append(s * np.correlate(down[b], down[a], "full")[::-1])
+    return np.stack(cols)
+
+
+def _site_rows(eps: np.ndarray, coef: np.ndarray, taugrid: np.ndarray) -> np.ndarray:
+    """Comb-frame up amplitudes G_n(tau) of every site |n| <= 2K, as (site, tau)."""
+    reach = coef.shape[-1] // 2
+    weights = _site_weights(coef, [0], np.arange(-2 * reach, 2 * reach + 1))
+    rows = np.empty((len(weights) // 2, len(taugrid)), dtype=complex)
+    for part, phase, turn in _phase_blocks(taugrid, eps, 2 * reach):
+        rows[:, part] = _mode_sum(phase[reach : 3 * reach + 1], turn, weights)
+    return rows
 
 
 def floquet_evolve(
@@ -345,42 +480,56 @@ def floquet_evolve(
     The comb-frame amplitude of site n is the n-th Fourier coefficient over
     the drive phase theta of ``U(theta + tau, theta)|down>``, and
     ``U(theta + tau, theta) = sum_a exp(-i eps_a tau) phi_a(theta + tau)
-    phi_a(theta)^dag`` with phi_a the Floquet modes (:func:`_floquet_modes`).
-    With c_a the modes' coefficients, that is::
+    phi_a(theta)^dag`` with phi_a the Floquet modes
+    (:func:`_floquet_harmonics`).  With c_a the modes' harmonics, that is::
 
-        G_n(tau) = sum_{a,m} exp(i (m - eps_a) tau) c_{a,m} conj(c_{a,m-n,down})
+        G_n(tau) = sum_{a,m} exp(i (m - eps_a) tau) c_{up,a,m} conj(c_{down,a,m-n})
 
-    one matrix product per block of tau over the harmonics |m| <= K that
-    exceed :data:`HARMONIC_CUT`, for every site |n| <= 2K they reach.  The
-    solution is never cut: ``halfwidth`` W only bounds the leakage gate,
-    which flags a run whose population passes 0.9 W, and the norm defect
+    for every site |n| <= 2K the harmonics |m| <= K reach.  What a run
+    reads is taken from the harmonics without building the sites: the P_e
+    amplitude sum_n G_n is sum_a exp(-i eps_a tau) conj(phi_{a,down}(0))
+    sum_m exp(i m tau) c_{up,a,m}; channel s is the one row n = -s; the norm
+    comes by Parseval (:func:`_norm_weights`); and only the rows of both
+    spins past 0.9 W are built, for the leakage gate, in a product of their
+    own.  The up rows of every site are built from the same harmonics when
+    ``up_amplitudes`` is first read.  The solution is never cut:
+    ``halfwidth`` W only bounds the leakage gate, and the norm defect
     measures the integration error alone.
     """
     _check_halfwidth(cfg, halfwidth)
     taugrid = np.asarray(taugrid, dtype=float)
-    eps, coef = _floquet_modes(*_period_prefix(cfg, _period_steps(cfg)))
-    steps = coef.shape[-1]
-    freqs = np.rint(np.fft.fftfreq(steps, 1.0 / steps)).astype(int)
-    reach = int(np.max(np.abs(freqs[np.max(np.abs(coef), axis=(0, 1)) > HARMONIC_CUT])))
-    harmonics = np.arange(-reach, reach + 1)
-    coef = coef[:, :, harmonics % steps]  # (spin, mode, harmonic)
+    eps, coef = _floquet_harmonics(cfg)
+    reach = coef.shape[-1] // 2
     sites = np.arange(-2 * reach, 2 * reach + 1)
+    edge = sites[np.abs(sites) > 0.9 * halfwidth]
+    shifts = [] if channels is None else [int(s) for s in channels]
+    # ((mode, column), m) weights of exp(i m tau), each read by its own product
+    total_w = coef[0] * coef[1].sum(axis=1, keepdims=True).conj()
+    chan_w = _site_weights(coef, [0], [-s for s in shifts])
+    edge_w = _site_weights(coef, [0, 1], edge)
+    norm_w = _norm_weights(coef)
 
-    # conj(c_{a,m-n,down}), zero where m - n is past the reach: (mode, m, n)
-    lag = harmonics[:, None] - sites[None, :]
-    inside = np.abs(lag) <= reach
-    start = np.where(inside, np.conj(coef[1][:, np.where(inside, lag + reach, 0)]), 0.0)
-    # rows (mode, m), columns (spin, n)
-    product = coef[:, :, :, None] * start[None]
-    product = product.transpose(1, 2, 0, 3).reshape(2 * len(harmonics), 2 * len(sites))
-    rate = (harmonics[None, :] - eps[:, None]).ravel()
-
-    amps = np.empty((2, len(sites), len(taugrid)), dtype=complex)  # (spin, n, tau)
-    rows = amps.reshape(product.shape[1], -1)  # a view, rows (spin, n)
-    block = max(1, BLOCK_SIZE // product.shape[1])
-    for i in range(0, len(taugrid), block):
-        rows[:, i : i + block] = (np.exp(1j * np.outer(taugrid[i : i + block], rate)) @ product).T
-    return _oracle_run(halfwidth, taugrid, amps[0], amps[1], channels)
+    total = np.empty(len(taugrid), dtype=complex)
+    chans = np.empty((len(shifts), len(taugrid)), dtype=complex)
+    norm = np.empty(len(taugrid))
+    edge_pop = np.empty(len(taugrid))
+    for part, phase, turn in _phase_blocks(taugrid, eps, 2 * reach):
+        near = phase[reach : 3 * reach + 1]
+        total[part] = _mode_sum(near, turn, total_w)[0]
+        chans[:, part] = _mode_sum(near, turn, chan_w)
+        rows = _mode_sum(near, turn, edge_w)
+        edge_pop[part] = np.sum(rows.real**2 + rows.imag**2, axis=0)
+        gram = (norm_w @ phase).reshape(2, 2, -1)
+        norm[part] = np.einsum("at,bt,abt->t", turn, turn.conj(), gram).real
+    return _oracle_run(
+        halfwidth,
+        taugrid,
+        total,
+        None if channels is None else dict(zip(shifts, chans)),
+        norm,
+        edge_pop,
+        partial(_site_rows, eps, coef, taugrid),
+    )
 
 
 @dataclass(frozen=True)

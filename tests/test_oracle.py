@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyrabi import oracle
 from polyrabi.cascade import ModeConfig, ResonanceOrderWarning, StageParams, run_cascade
 from polyrabi.cli import PRESETS, preset_experiments
 from polyrabi.oracle import (
@@ -56,6 +57,88 @@ def assert_window_free(cfg, taus, channels):
     assert list(narrow.pe.channels) == list(wide.pe.channels)
     for s in channels:
         assert bits(narrow.pe.channels[s]).tolist() == bits(wide.pe.channels[s]).tolist()
+
+
+def harmonic_rows(eps, coef, taus):
+    """Comb-frame rows G_n of both spins on every site |n| <= 2K, term by term.
+
+    G_n(tau) = sum_{a,m} exp(i (m - eps_a) tau) c_{spin,a,m} conj(c_{down,a,m-n}),
+    as (spin, site, tau), from quasienergies and harmonics (spin, mode, m = -K..K).
+    """
+    reach = coef.shape[-1] // 2
+    m = np.arange(-reach, reach + 1)
+    sites = np.arange(-2 * reach, 2 * reach + 1)
+    phase = np.exp(1j * (m[None, None, :] - eps[None, :, None]) * taus[:, None, None])
+    down = np.pad(coef[1], ((0, 0), (2 * reach, 2 * reach)))  # harmonic k at k + 3K
+    lagged = down[:, m[:, None] - sites[None, :] + 3 * reach].conj()  # (mode, m, n)
+    return np.einsum("tam,sam,amn->snt", phase, coef, lagged, optimize=True)
+
+
+def harmonics_run(cfg, halfwidth, taus, channels, cut=None):
+    """A Floquet run and the harmonics it read, zero outside -cut <= m <= cut + 2 if given.
+
+    The window is lopsided on purpose: the two modes of an SU(2) propagator
+    are mirror images, c_{up,b,m} = -conj(c_{down,a,-m}) up to a phase, so a cut symmetric
+    in m keeps them orthogonal at every time and leaves the norm's cross
+    terms a != b zero.
+    """
+    full, seen = oracle._floquet_harmonics, []
+
+    def harmonics(cfg):
+        eps, coef = full(cfg)
+        if cut is not None:
+            reach = coef.shape[-1] // 2
+            m = np.arange(-reach, reach + 1)
+            coef = np.where((m >= -cut) & (m <= cut + 2), coef, 0.0)
+        seen.append((eps, coef))
+        return eps, coef
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_floquet_harmonics", harmonics)
+        run = floquet_evolve(cfg, halfwidth, taus, channels=channels)
+    return run, *seen[0]
+
+
+def assert_reads_rows(cfg, halfwidth, taus, channels, cut=None):
+    """What a Floquet run reads from its harmonics equals the sums over its site rows."""
+    run, eps, coef = harmonics_run(cfg, halfwidth, taus, channels, cut)
+    reach = coef.shape[-1] // 2
+    up, down = harmonic_rows(eps, coef, taus)
+    pop = np.abs(up) ** 2 + np.abs(down) ** 2
+    norm = np.sum(pop, axis=0)
+    # Parseval: the norm over every site from the harmonics' correlations
+    d = np.arange(-2 * reach, 2 * reach + 1)
+    turn = np.exp(-1j * np.outer(taus, eps))
+    gram = oracle._norm_weights(coef).reshape(2, 2, -1)
+    parseval = np.einsum(
+        "ta,tb,td,abd->t", turn, turn.conj(), np.exp(1j * np.outer(taus, d)), gram
+    ).real
+    assert np.max(np.abs(parseval - norm)) <= 1e-14
+    assert abs(run.norm_defect - np.max(np.abs(np.sqrt(norm) - 1.0))) <= 1e-14
+    edge = np.abs(np.arange(-2 * reach, 2 * reach + 1)) > 0.9 * halfwidth
+    assert abs(run.leakage - np.max(np.sum(pop[edge], axis=0))) <= 1e-14
+    assert np.max(np.abs(run.pe.values - np.abs(np.sum(up, axis=0)) ** 2)) <= 1e-14
+    for s in channels:
+        row = up[2 * reach - s] if abs(s) <= 2 * reach else 0.0
+        assert np.max(np.abs(run.pe.channels[s] - np.abs(row) ** 2)) <= 1e-14
+    # the rows built on demand, and their coherent sum, the P_e amplitude
+    assert np.max(np.abs(run.up_amplitudes - up)) <= 1e-14
+    assert np.max(np.abs(np.abs(np.sum(run.up_amplitudes, axis=0)) ** 2 - run.pe.values)) <= 1e-14
+    return run
+
+
+def assert_sampling_exact(cfg):
+    """Floquet harmonics sampled every SAMPLE_STRIDE steps equal those read at every step."""
+    eps, coef = oracle._floquet_harmonics(cfg)
+    eps_full, coef_full = oracle._floquet_harmonics(cfg, stride=1)
+    reach = max(coef.shape[-1], coef_full.shape[-1]) // 2
+
+    def padded(c):
+        pad = reach - c.shape[-1] // 2
+        return np.pad(c, ((0, 0), (0, 0), (pad, pad)))
+
+    assert np.max(np.abs(eps - eps_full)) <= 1e-13
+    assert np.max(np.abs(padded(coef) - padded(coef_full))) <= 1e-13
 
 
 def shipped_experiments():
@@ -297,6 +380,90 @@ class TestFloquetEvolve:
         cfg = ModeConfig(j=1, m=(0,), omega=(0.1,), delta0=600.0)
         with pytest.raises(ValueError, match="Magnus steps"):
             floquet_evolve(cfg, 10, np.linspace(0.0, 1.0, 3))
+
+    def test_rows_built_only_when_read(self, fig1_cfg, taus_4pi):
+        built = []
+        rows = oracle._site_rows
+
+        def counted(*args):
+            built.append(args)
+            return rows(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_site_rows", counted)
+            run = floquet_evolve(fig1_cfg, 200, taus_4pi, channels=(1, 3, -1))
+            assert set(run.pe.channels) == {1, 3, -1}
+            assert not built
+            first = run.up_amplitudes
+            assert len(built) == 1
+            assert run.up_amplitudes is first and len(built) == 1
+
+    def test_large_bare_frequency_matches_lattice(self):
+        # K is about |omega0|/2 here, so the modes' site reach 2K passes W
+        cfg = ModeConfig(j=1, m=(0,), omega=(0.1,), delta0=480.0)
+        taus = np.linspace(0.0, 4.0 * math.pi, 64)
+        run = floquet_evolve(cfg, 200, taus)
+        assert run.valid
+        assert np.max(np.abs(run.pe.values - lattice(cfg, 200, taus).pe.values)) <= 1e-12
+
+
+class TestFloquetHarmonics:
+    """The Floquet solver's sampled period and its reads from the modes' harmonics."""
+
+    @pytest.mark.parametrize("exp", shipped_experiments(), ids=lambda exp: exp.name)
+    def test_sampled_period_on_presets(self, exp):
+        assert_sampling_exact(exp.config)
+
+    @settings(max_examples=10)
+    @given(cfg=combs())
+    def test_sampled_period_on_random_combs(self, cfg):
+        assert_sampling_exact(cfg)
+
+    def test_aliased_sampling_refines(self, fig1_cfg):
+        # start from 8 samples, too few for fig1's harmonics: the sampling
+        # doubles until the reach K is within a quarter of the samples
+        sampled = []
+        modes = oracle._floquet_modes
+
+        def counted(a, b):
+            sampled.append(len(a) - 1)
+            return modes(a, b)
+
+        steps = oracle._period_steps(fig1_cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_floquet_modes", counted)
+            eps, coef = oracle._floquet_harmonics(fig1_cfg, stride=steps // 8)
+        reach = coef.shape[-1] // 2
+        assert sampled == [8 << k for k in range(len(sampled))]
+        assert len(sampled) > 1 and 4 * reach <= sampled[-1] and 4 * reach > sampled[-2]
+        eps_full, coef_full = oracle._floquet_harmonics(fig1_cfg, stride=1)
+        assert coef_full.shape == coef.shape
+        assert np.max(np.abs(eps - eps_full)) <= 1e-13
+        assert np.max(np.abs(coef - coef_full)) <= 1e-13
+
+    @pytest.mark.parametrize("exp", shipped_experiments(), ids=lambda exp: exp.name)
+    def test_reads_equal_row_sums_on_presets(self, exp):
+        # over 4 pi: on the presets' longer grids the rounding of the phase
+        # arguments (m - eps) tau alone moves the rows by a few 1e-14
+        channels = sorted({*exp.config.mode_shifts, *(exp.channels or ()), 0, 99})
+        taus = np.linspace(0.0, 4.0 * math.pi, 64)
+        assert_reads_rows(exp.config, exp.window, taus, channels)
+
+    @settings(max_examples=8)
+    @given(cfg=combs())
+    def test_reads_equal_row_sums_on_random_combs(self, cfg):
+        # the narrowest window, so that the leakage rows are in play
+        taus = np.linspace(0.0, 4.0 * math.pi, 48)
+        assert_reads_rows(cfg, min_halfwidth(cfg) + 1, taus, cfg.mode_shifts)
+
+    @pytest.mark.parametrize("cut", [4, 7, 10])
+    def test_reads_equal_row_sums_on_cut_harmonics(self, cut):
+        # fig3b's modes cut to a few harmonics lose norm; the reads still
+        # equal the sums over the rows
+        cfg = next(e.config for e in preset_experiments("fig3bcd") if e.name == "fig3b")
+        taus = np.linspace(0.0, 4.0 * math.pi, 64)
+        run = assert_reads_rows(cfg, min_halfwidth(cfg) + 1, taus, cfg.mode_shifts, cut=cut)
+        assert run.norm_defect > NORM_TOL
 
 
 class TestVerifySk:
