@@ -46,6 +46,7 @@ __all__ = [
     "ChiExtractionError",
     "ResonanceOrderWarning",
     "stage_zero",
+    "dressing_entries",
     "stage_unitary",
     "build_M",
     "next_stage",
@@ -244,6 +245,17 @@ def stage_zero(cfg: ModeConfig) -> TermVector:
     return (vz, plus, plus.conjugate_mirror())
 
 
+def dressing_entries(p: StageParams) -> tuple[float, complex]:
+    """The entries (c, x) of a stage's dressing S = ((c, -x b_s), (conj(x) b_-s, c)).
+
+    c = sqrt((1 + detuning_norm)/2) and x = chi_norm/(2c), so that
+    c^2 + |x|^2 = 1.  On the adiabatic branch ``detuning_norm`` lies in
+    [0, 1], so c >= sqrt(1/2).
+    """
+    c = math.sqrt(0.5 * (1.0 + p.detuning_norm))
+    return c, p.chi_norm / (2.0 * c)
+
+
 def stage_unitary(p: StageParams, halffreq: float) -> TermMatrix:
     """Dressing unitary of a stage, then the rotation exp(-i*halffreq*tau*sigma_z/2).
 
@@ -252,15 +264,13 @@ def stage_unitary(p: StageParams, halffreq: float) -> TermMatrix:
         ((c e-,           -x b_s e+),
          (conj(x) b_-s e-, c e+     ))
 
-    with c = sqrt((1 + detuning_norm)/2), x = chi_norm/(2c) and
+    with (c, x) the dressing's entries (:func:`dressing_entries`) and
     e+- = exp(+-i*halffreq*tau/2).  ``halffreq = 0`` gives the dressing S,
     ``p.dm_next`` the stage unitary W = S R whose rotation R makes the next
     mode static, and ``p.splitting`` the final stage's evolution
-    S exp(-i*splitting*tau*sigma_z/2).  On the adiabatic branch
-    ``detuning_norm`` lies in [0, 1], so c >= sqrt(1/2).
+    S exp(-i*splitting*tau*sigma_z/2).
     """
-    c = math.sqrt(0.5 * (1.0 + p.detuning_norm))
-    x = p.chi_norm / (2.0 * c)
+    c, x = dressing_entries(p)
     f = float(halffreq)
     s = p.mode_shift
     one = TermSum.single

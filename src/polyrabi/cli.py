@@ -17,6 +17,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,7 +29,7 @@ from .cascade import ModeConfig, run_cascade
 from .closed_forms import resonant_lower_mode, two_mode_u0, weak_field_uge
 from .field_state import gamma_weights, weighted_pe
 from .oracle import compare, floquet_evolve, min_halfwidth
-from .propagator import PeSeries, excitation_probability, undress
+from .propagator import PeSeries, excitation_probability, factored_pe, undress
 
 # The lattice solver is not on the CLI path, but the benchmark harness reads
 # these names on this module for its halfwidth scaling probes, and wraps
@@ -67,6 +68,14 @@ class Experiment:
     channels: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        # the name prefixes every output file, so it must name a file in --out
+        seps = [sep for sep in ("/", os.sep, os.altsep, "\0") if sep]
+        if (
+            not isinstance(self.name, str)
+            or self.name in ("", ".", "..")
+            or any(sep in self.name for sep in seps)
+        ):
+            raise ConfigError(f"experiment name {self.name!r} must be a string naming a file")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
         start, stop, count = self.tau
@@ -209,7 +218,7 @@ def load_experiment(doc: dict) -> Experiment:
         if channels is not None:
             channels = tuple(_integer(s, "channel") for s in channels)
         return Experiment(
-            name=str(doc.get("name", "run")),
+            name=doc.get("name", "run"),
             config=mode,
             engine=str(doc.get("engine", Experiment.engine)),
             tau=(
@@ -317,9 +326,17 @@ class RunResult:
 
 
 def _series(exp: Experiment, engine: str, taus: np.ndarray) -> tuple[PeSeries, bool]:
-    """One engine's series, and whether it is valid (only the oracle can fail)."""
+    """One engine's series, and whether it is valid (only the oracle can fail).
+
+    A flat cascade run without channels reads only the traced P_e, so it
+    multiplies the stage chain out (:func:`~polyrabi.propagator.factored_pe`)
+    instead of expanding it into terms; every other analytic run evaluates
+    the term expansion.
+    """
     cfg = exp.config
     flat = exp.weights is None
+    if engine == "cascade" and flat and not exp.channels:
+        return factored_pe(run_cascade(cfg), taus), True
     if engine == "weak_field":
         return PeSeries(tau=taus, values=np.abs(weak_field_uge(cfg, taus)) ** 2), True
     if engine == "oracle":

@@ -15,6 +15,14 @@ The excitation probability is the squared modulus of the sigma_+ component
 after the equal-weight partial trace over the field lattice; grouping the
 sigma_+ terms by ladder shift before tracing gives the per-channel
 transition probabilities.
+
+The term expansion is the analytic expression; it is not the cheapest way
+to a number.  With every ladder displacement read as 1, the propagator at
+one tau is a product of 2x2 stage unitaries, so :func:`factored_pe`
+multiplies that chain out per grid point instead, closing it with the
+adjugate of its own tau = 0 value so that P_e(0) == 0.0 still holds
+exactly.  It gives the total only: the channels need the shifts that the
+expansion keeps apart.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import CascadeResult, StageParams, stage_unitary
-from .terms import TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich
+from .cascade import CascadeResult, StageParams, dressing_entries, stage_unitary
+from .terms import TermSum, TermVector, TermMatrix, _cmul, dagger, mat_vec, sandwich
 
 __all__ = [
     "PropagatorComponents",
@@ -33,6 +41,7 @@ __all__ = [
     "build_T",
     "undress",
     "excitation_probability",
+    "factored_pe",
 ]
 
 
@@ -134,3 +143,47 @@ def excitation_probability(
     probs = dict(zip(shifts, np.abs(rows) ** 2))
     chan = {int(s): probs.get(int(s), np.zeros(taugrid.shape)) for s in channels}
     return PeSeries(tau=taugrid, values=np.abs(total) ** 2, channels=chan)
+
+
+def _factored_plus(cr: CascadeResult, taugrid: np.ndarray) -> np.ndarray:
+    """The traced sigma_+ amplitude of the undressed propagator, from its stage chain.
+
+    U(tau) = W_1 ... W_f S_f^dag ... S_1^dag over ``cr.stages``, anchor
+    included, with S a stage's dressing and W = S R its dressing then
+    rotation at ``dm_next`` (at ``splitting`` for the final stage f), every
+    ladder displacement read as 1.  The first row (alpha, beta) of
+    W_1 ... W_f is carried across the grid, with tau = 0 in front.  There it
+    is the first row (a, b) of the SU(2) product S_1 ... S_f, whose inverse,
+    the closing factor, is its adjugate, so U[up, down] = beta a - alpha b.
+    Every complex product is rounded part by part (``_cmul``), so beta a and
+    alpha b agree bit for bit wherever tau = 0, and the amplitude is 0.0
+    there exactly.
+    """
+    taus = np.concatenate(([0.0], taugrid))
+    final = cr.stages[-1]
+    phases = {}  # exp(-+i*h*tau/2) per rotation h; most stages share a gap
+    alpha, beta = np.ones(taus.shape, dtype=complex), np.zeros(taus.shape, dtype=complex)
+    for p in cr.stages:
+        c, x = dressing_entries(p)
+        h = final.splitting if p is final else p.dm_next
+        if h not in phases:
+            e = np.exp(-0.5j * h * taus)
+            phases[h] = e, e.conj()
+        down, up = phases[h]
+        alpha, beta = (
+            _cmul(c * alpha + _cmul(beta, x.conjugate()), down),
+            _cmul(c * beta - _cmul(alpha, x), up),
+        )
+    return _cmul(beta[1:], alpha[0]) - _cmul(alpha[1:], beta[0])
+
+
+def factored_pe(cr: CascadeResult, taugrid: np.ndarray) -> PeSeries:
+    """Upper-state population over a time grid, from the stage chain multiplied out.
+
+    The same P_e as ``excitation_probability(undress(cr), taugrid)`` to
+    roundoff, without the term expansion: N small matrix products per
+    point.  It gives no channels, since resolving the ladder shifts needs
+    the expansion.  P_e(0) == 0.0 exactly.
+    """
+    taugrid = np.asarray(taugrid, dtype=float)
+    return PeSeries(tau=taugrid, values=np.abs(_factored_plus(cr, taugrid)) ** 2)

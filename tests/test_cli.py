@@ -438,6 +438,18 @@ class TestMain:
             )
         assert "mode 2 is resonant" in err["error"]
 
+    @pytest.mark.parametrize(
+        "name",
+        ["../escaped", "a/b", "/abs", "", ".", "..", "nul\0", None, 3],
+        ids=["parent", "subdir", "absolute", "empty", "dot", "dotdot", "nul", "null", "number"],
+    )
+    def test_name_outside_out_rejected_before_output(self, tmp_path, capsys, name):
+        # the name prefixes every file, so it must name a file inside --out
+        cfg_path = self._fig1_doc(tmp_path, name=name, engine="cascade")
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "experiment name" in err["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "out"]
+
     def test_negligible_coupling_runs(self, tmp_path):
         # a coupling below the drop threshold is dressed as uncoupled
         config = {"j": 1, "m": [0, 1], "omega": [[0.1, 0], [1e-15, 0]], "delta0": 1.0}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from polyrabi.cascade import ModeConfig, run_cascade
 from polyrabi.cli import Experiment, read_series_csv, run
 from polyrabi.field_state import gamma_weights, weighted_pe
 from polyrabi.oracle import build_hamiltonian, evolve, floquet_evolve
-from polyrabi.propagator import excitation_probability, undress
+from polyrabi.propagator import excitation_probability, factored_pe, undress
 
 from conftest import bits, fsum_trace
 
@@ -43,13 +44,22 @@ class TestGammaWeights:
 
 class TestWeightedPe:
     def test_flat_identical_to_plain(self, fig1_u0, tmp_path):
-        # flat weights are the plain traced probability, bit for bit
+        # flat weights are the plain traced probability, bit for bit: with
+        # channels from the term path, without them from the stage chain
         cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)
-        exp = Experiment(name="flat", config=cfg, engine="cascade", tau=(0.0, 4 * math.pi, 300))
+        exp = Experiment(
+            name="flat", config=cfg, engine="cascade", tau=(0.0, 4 * math.pi, 300),
+            channels=(1, 3, -1),
+        )
         run(exp, tmp_path)
         plain = excitation_probability(fig1_u0, exp.taugrid())
         flat = read_series_csv(tmp_path / "flat_cascade.csv")
-        assert np.array_equal(plain.values, flat.values)
+        assert np.array_equal(bits(plain.values), bits(flat.values))
+        run(replace(exp, name="bare", channels=None), tmp_path)
+        factored = factored_pe(run_cascade(cfg), exp.taugrid())
+        bare = read_series_csv(tmp_path / "bare_cascade.csv")
+        assert bare.channels is None
+        assert np.array_equal(bits(factored.values), bits(bare.values))
 
     def test_shift_rows_equal_fsum_of_each_group(self):
         # one pass over every shift group equals the group-by-group fsum

@@ -1,16 +1,20 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from polyrabi.cascade import ModeConfig, ResonanceOrderWarning, StageParams, run_cascade
+from polyrabi.cli import PRESETS, preset_experiments
 from polyrabi.propagator import (
+    _factored_plus,
     build_T,
     dressed_propagator,
     excitation_probability,
+    factored_pe,
     undress,
 )
 from polyrabi.terms import TermSum
@@ -18,6 +22,12 @@ from polyrabi.terms import TermSum
 from conftest import bits, combs, dominant_peak, fsum_trace, stage_chain_plus, termwise_dev
 
 CHAIN_TAUS = np.linspace(0.0, 4.0 * math.pi, 64)
+# tau = 0 inside the grid, and a signed zero as its last point
+ZEROS_INSIDE = np.concatenate((-CHAIN_TAUS[:0:-1], CHAIN_TAUS, [-0.0]))
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", ResonanceOrderWarning)  # fig3a's 6/7 detuning
+    PRESET_EXPERIMENTS = [e for p in PRESETS for e in preset_experiments(p)]
 
 
 def fig1_stages():
@@ -277,6 +287,30 @@ class TestExcitationProbability:
         pe = excitation_probability(undress(cr), taus)
         peak, width = dominant_peak(taus, pe.values)
         assert abs(peak - rabi) <= width
+
+
+class TestFactoredPe:
+    def assert_matches_both_references(self, cr, taus):
+        pe = factored_pe(cr, taus)
+        want = excitation_probability(undress(cr), taus).values
+        assert np.max(np.abs(pe.values - want)) <= 1e-12
+        amp = _factored_plus(cr, taus)
+        assert np.max(np.abs(amp - stage_chain_plus(cr, taus)[0])) <= 1e-12
+        assert np.array_equal(pe.values, np.abs(amp) ** 2)
+        assert pe.channels is None and np.array_equal(pe.tau, taus)
+        return pe
+
+    @pytest.mark.parametrize("exp", PRESET_EXPERIMENTS, ids=lambda e: e.name)
+    def test_presets_match_the_term_path(self, exp):
+        pe = self.assert_matches_both_references(run_cascade(exp.config), exp.taugrid())
+        assert pe.values[0] == 0.0
+
+    @settings(max_examples=100)
+    @given(combs(max_modes=8))
+    def test_random_combs_match_the_term_path(self, cfg):
+        # anchored (out-of-order) combs, j <= 0 and complex couplings included
+        pe = self.assert_matches_both_references(run_cascade(cfg), ZEROS_INSIDE)
+        assert (pe.values[ZEROS_INSIDE == 0.0] == 0.0).all()
 
 
 class TestCopying:
