@@ -187,11 +187,13 @@ def _real(x, what: str) -> float:
 
 
 def _integer(x, what: str) -> int:
-    """A JSON number equal to its integer value, as an int; not a boolean."""
+    """A JSON number equal to its integer value and within int64, as an int; not a boolean."""
     integral_float = isinstance(x, float) and x.is_integer()
-    if integral_float or (isinstance(x, int) and not isinstance(x, bool)):
-        return int(x)
-    raise ConfigError(f"{what} must be an integer, got {x!r}")
+    if not (integral_float or (isinstance(x, int) and not isinstance(x, bool))):
+        raise ConfigError(f"{what} must be an integer, got {x!r}")
+    if not -(2**63) <= x < 2**63:
+        raise ConfigError(f"{what} must fit a signed 64-bit integer, got {x!r}")
+    return int(x)
 
 
 def load_experiment(doc: dict) -> Experiment:

@@ -205,14 +205,6 @@ class OracleRun:
         reach = len(self.up_amplitudes) // 2
         return np.arange(-reach, reach + 1), self.up_amplitudes[::-1]
 
-    def shift_amplitude(self, shift: int) -> np.ndarray:
-        """Comb-frame amplitude of the channel ending ``shift`` steps down.
-
-        These are the amplitudes that sum coherently across channels; their
-        coherent total reproduces ``pe.values``.
-        """
-        return _shift_row(self.up_amplitudes, shift)
-
 
 def _shift_row(rows: np.ndarray, shift: int) -> np.ndarray:
     """Row -``shift`` of site rows -R..R, zero past R."""

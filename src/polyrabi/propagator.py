@@ -127,22 +127,22 @@ def excitation_probability(
     """Upper-state population over a time grid.
 
     P_e(tau) = |trace(u_sigma_plus) evaluated at tau|^2.  With ``channels``
-    a non-empty list of shifts, per-shift probabilities are also computed,
-    every shift group and the total from one evaluation of the terms
-    (:meth:`~polyrabi.terms.TermSum.trace_with_shifts`; absent shifts yield
-    zeros).  The total is the squared modulus of the coherent sum over
-    channels.  Every traced value is correctly rounded from the raw terms,
-    so P_e(0) == 0.0 exactly.
+    a non-empty list of shifts, per-shift probabilities (zeros for absent
+    shifts) come from the same evaluation of the terms; the total is the
+    squared modulus of the coherent sum over channels.  Each traced value is
+    its value at tau = 0, the ``math.fsum`` of its amplitudes, plus a part
+    that vanishes there (:meth:`~polyrabi.terms.TermSum.trace_evaluate_many`),
+    so P_e(0) == 0.0 and every channel at tau = 0 is 0.0 wherever the
+    amplitudes cancel exactly, as undressing leaves them.
     """
     taugrid = np.asarray(taugrid, dtype=float)
-    plus = u0.sigma_plus
+    total, shifts, rows = u0.sigma_plus._traced(taugrid)
+    values = np.abs(total.reshape(taugrid.shape)) ** 2
     if not channels:
-        values = np.abs(plus.trace_evaluate_many(taugrid)) ** 2
         return PeSeries(tau=taugrid, values=values)
-    total, shifts, rows = plus.trace_with_shifts(taugrid)
     probs = dict(zip(shifts, np.abs(rows) ** 2))
     chan = {int(s): probs.get(int(s), np.zeros(taugrid.shape)) for s in channels}
-    return PeSeries(tau=taugrid, values=np.abs(total) ** 2, channels=chan)
+    return PeSeries(tau=taugrid, values=values, channels=chan)
 
 
 def _factored_plus(cr: CascadeResult, taugrid: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ halffreq), terms whose half-frequencies lie within ``FREQ_MERGE_TOL`` of
 their group's first merged into one, amplitudes at or below
 ``AMP_DROP_TOL`` removed.  A result is canonicalized once, from all of its
 raw term products: one ``np.lexsort``, then each merged group summed by
-:func:`exact_sum`, equal to ``math.fsum`` of the group bit for bit, so a
-group whose true sum is zero cancels exactly.  Products are formed with
-separate real multiplies and adds, as Python's complex product forms them
-(numpy's complex multiply may fuse them and round differently).
+``math.fsum``, so a group whose true sum is zero cancels exactly.  Products
+are formed with separate real multiplies and adds, as Python's complex
+product forms them (numpy's complex multiply may fuse them and round
+differently).
 Spin operators are 2x2 matrices of sums over (up, down); :func:`sandwich`
 turns a pair of them into the 4x4 transfer matrix of X -> a.X.b over the
 coefficient basis (1, sigma_z, sigma_+, sigma_-).  :func:`mat_vec` and
@@ -30,11 +30,11 @@ coefficient basis (1, sigma_z, sigma_+, sigma_-).  :func:`mat_vec` and
 All values are immutable; every operation returns a new object.
 
 A sum is evaluated on a time grid with its shifts traced out (read as
-unity).  Each value is the correctly rounded sum of the raw terms' values,
-equal to ``math.fsum`` bit for bit, so sums that cancel exactly evaluate to
-exactly zero; :func:`exact_sum` computes it for a whole grid at once with
-error-free transformations, and calls ``fsum`` only at points where the
-second error tree leaves a residue.
+unity), as its value at tau = 0 plus a part that vanishes there:
+sum_f a_f * (exp(i*f*tau/2) - 1) over its distinct half-frequencies.  The
+value at tau = 0 is the ``math.fsum`` of the amplitudes, so a sum that
+cancels there evaluates to exactly zero; elsewhere each value is within a
+few ulps per term of the exact sum, and does not depend on the grid.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "TermMatrix",
     "TermVector",
     "mat_vec",
-    "exact_sum",
     "dagger",
     "sandwich",
 ]
@@ -109,37 +108,30 @@ def _anchor_starts(f: np.ndarray, starts: np.ndarray, wide: np.ndarray) -> np.nd
     return np.sort(np.concatenate((starts, extra)).astype(np.intp))
 
 
-# Up to this many merged groups, summing each by ``math.fsum`` directly is
-# cheaper than the fixed cost of the exact_sum trees; both give the same bits.
-_FSUM_GROUPS = 32
+def _fsums(amp: np.ndarray, starts, stops) -> list[complex]:
+    """``math.fsum`` of each run ``amp[a:b]``, real and imaginary parts apart."""
+    re, im = amp.real.tolist(), amp.imag.tolist()
+    return [complex(math.fsum(re[a:b]), math.fsum(im[a:b])) for a, b in zip(starts, stops)]
+
+
+def _unit_gaps(freqs: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i*f*tau/2) - 1 for every half-frequency f (rows) and point tau (columns).
+
+    Returned as its real and imaginary parts, -2 sin^2(theta/2) and
+    sin(theta) with theta = f*tau/2, both accurate to a few ulps even where
+    theta is small; (-0.0, 0.0) at tau = 0.
+    """
+    theta = 0.5 * np.multiply.outer(freqs, taus)
+    return -2.0 * np.sin(0.5 * theta) ** 2, np.sin(theta)
 
 
 def _group_sums(amp: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each group's amplitude: its one term untouched, or the exact sum of its terms.
-
-    The terms of the groups with more than one are laid out zero-padded in
-    a (slot, group) array and summed along the slots by :func:`exact_sum`
-    (a few groups go straight to ``math.fsum``).
-    """
-    sizes = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
-    sizes[-1] = len(amp) - starts[-1]
+    """Each group's amplitude: its one term untouched, or the ``math.fsum`` of its terms."""
+    stops = np.append(starts[1:], len(amp))
     out = amp[starts]
-    multi = (sizes > 1).nonzero()[0]
-    if len(multi) > _FSUM_GROUPS:
-        k = sizes[multi]
-        group = np.arange(len(multi)).repeat(k)
-        slot = np.arange(len(group)) - (k.cumsum() - k)[group]
-        padded = np.zeros((k.max(), len(multi), 2))
-        padded[slot, group] = amp.view(float).reshape(-1, 2)[starts[multi][group] + slot]
-        out[multi] = exact_sum(padded).view(complex)[:, 0]
-    elif len(multi):
-        re, im = amp.real.tolist(), amp.imag.tolist()
-        bounds = [*starts.tolist(), len(amp)]
-        out[multi] = [
-            complex(math.fsum(re[a:b]), math.fsum(im[a:b]))
-            for a, b in ((bounds[g], bounds[g + 1]) for g in multi.tolist())
-        ]
+    multi = (stops - starts > 1).nonzero()[0]
+    if len(multi):
+        out[multi] = _fsums(amp, starts[multi].tolist(), stops[multi].tolist())
     return out
 
 
@@ -351,129 +343,53 @@ class TermSum:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _addends(self, taus: np.ndarray) -> np.ndarray:
-        """``amp * exp(i*halffreq*tau/2)``, one row per term, one column per point.
+    def _traced(self, taus: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+        """The traced total, the shifts in ascending order and one row per shift.
 
-        The exponentials are computed once per distinct half-frequency bit
-        pattern (a sum carries far fewer of them than terms) and gathered
-        into the term rows.
+        Every displacement is read as unity.  Each value is its group's value
+        at tau = 0, the ``math.fsum`` of its amplitudes, plus
+        sum_f a_f (exp(i*f*tau/2) - 1) over the distinct half-frequencies in
+        ascending order, added point by point, so a point's value does not
+        depend on its grid; for the total, a_f sums over the shifts.
         """
-        freqs, row = np.unique(self.halffreq.view(np.int64), return_inverse=True)
-        z = 0.5j * np.outer(freqs.view(float), taus)
-        np.exp(z, out=z)
-        z = z[row]
-        return np.multiply(self.amp[:, None], z, out=z)
-
-    def _shift_rows(self, addends: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        """Each shift group's addends summed exactly, one row per group."""
-        shifts, first = np.unique(self.shift, return_index=True)
-        bounds = [*first.tolist(), len(self)]
-        rows = np.empty((len(shifts), addends.shape[1]), dtype=complex)
-        # the terms are sorted by shift, so each group is one contiguous run
-        for row, a, b in zip(rows, bounds, bounds[1:]):
-            row[:] = exact_sum(addends[a:b].view(float)).view(complex)
-        return tuple(shifts.tolist()), rows
+        taus = np.asarray(taus, dtype=float).ravel()
+        freqs, col = np.unique(self.halffreq, return_inverse=True)
+        shifts, first, row = np.unique(self.shift, return_index=True, return_inverse=True)
+        # the total, then one row per shift: a canonical sum holds at most one
+        # term per (shift, half-frequency)
+        coef = np.zeros((len(shifts) + 1, len(freqs)), dtype=complex)
+        coef[row + 1, col] = self.amp
+        coef[0] = coef[1:].sum(axis=0)
+        bounds = first.tolist()
+        k = np.array(_fsums(self.amp, [0, *bounds], [len(self), *bounds[1:], len(self)]))
+        re = np.repeat(k.real[:, None], len(taus), axis=1)
+        im = np.repeat(k.imag[:, None], len(taus), axis=1)
+        # _cmul's real multiplies and adds, on contiguous real arrays
+        for a, g_re, g_im in zip(coef.T[:, :, None], *_unit_gaps(freqs, taus)):
+            re += a.real * g_re - a.imag * g_im
+            im += a.real * g_im + a.imag * g_re
+        out = np.empty(re.shape, dtype=complex)
+        out.real, out.imag = re, im
+        return out[0], tuple(shifts.tolist()), out[1:]
 
     def trace_evaluate_many(self, taus: np.ndarray) -> np.ndarray:
-        """Values sum(amp * exp(i*halffreq*tau/2)) over a time grid.
+        """Values sum(amp * exp(i*halffreq*tau/2)) over a time grid, every shift read as unity.
 
-        Every ladder displacement is read as unity (the equal-weight trace
-        over the field lattice).  The raw terms are summed per point by
-        :func:`exact_sum`, correctly rounded (equal to ``math.fsum`` of the
-        addends), without merging across shift groups first, so sums that
-        cancel do so exactly (merging would round once per merged key and
-        can leave dust of order 1e-17 where the true value is zero).
+        Exact at tau = 0, where the value is the ``math.fsum`` of the
+        amplitudes, so a sum that cancels there evaluates to exactly zero.
         """
         taus = np.asarray(taus, dtype=float)
-        if not self:
-            return np.zeros(taus.shape, dtype=complex)
-        return exact_sum(self._addends(taus).view(float)).view(complex)
+        return self._traced(taus)[0].reshape(taus.shape)
 
     def trace_by_shift(self, taus: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        """Every shift group's traced values, one row per shift, in one pass.
+        """The shifts in ascending order and their traced values, one row per shift.
 
-        Returns the shifts in ascending order and a (shifts, points) array
-        whose row s equals ``self.by_shift()[s].trace_evaluate_many(taus)``
-        bit for bit.  The addends of all terms are computed once, and each
-        group's run of them is summed by :func:`exact_sum`.
+        Row s equals ``self.by_shift()[s].trace_evaluate_many(taus)``.
         """
-        taus = np.asarray(taus, dtype=float).ravel()
-        if not self:
-            return (), np.zeros((0, taus.size), dtype=complex)
-        return self._shift_rows(self._addends(taus))
-
-    def trace_with_shifts(
-        self, taus: np.ndarray
-    ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-        """``trace_evaluate_many`` and ``trace_by_shift`` from one set of addends.
-
-        Returns the traced total, the shifts and the shift rows, each equal
-        bit for bit to what the two methods return on their own.
-        """
-        taus = np.asarray(taus, dtype=float).ravel()
-        if not self:
-            return np.zeros(taus.shape, dtype=complex), (), np.zeros((0, taus.size), complex)
-        z = self._addends(taus)
-        return exact_sum(z.view(float)).view(complex), *self._shift_rows(z)
+        return self._traced(taus)[1:]
 
 
 _ZERO = TermSum()
-
-# Columns are summed in blocks of about this many elements, which keeps the
-# temporaries of both trees in cache; whole-array passes measured 2-3x slower.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def _two_sum_tree(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Pairwise sum of ``x`` along axis 0 and every rounding error it made.
-
-    Each addition is Knuth's TwoSum, which yields the rounded sum and its
-    error exactly, so ``sum(x) == hi + sum(errors)`` holds exactly.
-    """
-    errors = []
-    while len(x) > 1:
-        h = len(x) // 2
-        a, b = x[:h], x[h : 2 * h]
-        s = a + b
-        z = s - a
-        e = s - z
-        np.subtract(a, e, out=e)
-        np.subtract(b, z, out=z)
-        errors.append(np.add(e, z, out=e))
-        x = np.concatenate((s, x[2 * h :])) if len(x) % 2 else s
-    return x[0], errors
-
-
-def _exact_block(cols: np.ndarray) -> np.ndarray:
-    hi, errors = _two_sum_tree(cols)
-    lo, residues = _two_sum_tree(np.concatenate(errors)) if errors else (0.0, [])
-    out = hi + lo
-    if residues:
-        for j in np.flatnonzero(np.concatenate(residues).any(axis=0)):
-            out[j] = math.fsum(cols[:, j])
-    return out
-
-
-def exact_sum(x: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of ``x`` along axis 0: ``math.fsum`` of each column.
-
-    Error-free transformations (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
-    26, 1955 (2005)): a TwoSum tree gives ``hi`` and its errors ``e``, a
-    second tree on ``e`` gives ``lo`` and residues ``r``, so the exact sum
-    is ``hi + lo + sum(r)``.  Where every residue is zero, the IEEE add
-    ``hi + lo`` is the correctly rounded (half-to-even) sum; the points
-    where a residue is not zero are summed by ``math.fsum``.  Like ``fsum``,
-    the result is never -0.0: TwoSum errors never are, so neither is ``lo``.
-    Inputs are finite.
-    """
-    x = np.asarray(x, dtype=float)
-    cols = x.reshape(len(x), math.prod(x.shape[1:]))
-    out = np.zeros(cols.shape[1])
-    step = max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
-    if len(cols):
-        for j in range(0, cols.shape[1], step):
-            out[j : j + step] = _exact_block(cols[:, j : j + step])
-    return out.reshape(x.shape[1:])
 
 
 # -- dense containers ----------------------------------------------------------

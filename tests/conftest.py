@@ -68,10 +68,9 @@ def termwise_dev(a, b):
 
 
 def fsum_trace(ts, taus):
-    """Reference trace: each point's addends summed by ``math.fsum``.
+    """Reference trace: each point's addends ``amp * exp(i*halffreq*tau/2)`` summed by ``math.fsum``.
 
-    The addends are computed as the evaluation computes them; the loop over
-    points is the reference the vectorized exact sum must equal bit for bit.
+    The sum is correctly rounded from the addends, one ``exp`` per term.
     """
     amps = np.array([t.amp for t in ts])
     freqs = np.array([t.halffreq for t in ts])
@@ -80,6 +79,21 @@ def fsum_trace(ts, taus):
         [complex(math.fsum(r), math.fsum(i)) for r, i in zip(contrib.real, contrib.imag)],
         dtype=complex,
     ).reshape(len(taus))
+
+
+def assert_traced(ts, taus, got):
+    """``got`` is ``ts`` traced on ``taus`` within the evaluation's contract.
+
+    Where tau == 0 it is the ``math.fsum`` of the amplitudes, bit for bit;
+    elsewhere it lies within 4 (n + 2) eps sum|amp| of :func:`fsum_trace`,
+    n the term count.
+    """
+    taus = np.asarray(taus, dtype=float)
+    zero = taus == 0.0
+    at_zero = complex(math.fsum(ts.amp.real), math.fsum(ts.amp.imag))
+    assert np.array_equal(bits(got[zero]), bits(np.full(np.count_nonzero(zero), at_zero)))
+    bound = 4 * (len(ts) + 2) * np.finfo(float).eps * float(np.sum(np.abs(ts.amp)))
+    assert np.max(np.abs(got - fsum_trace(ts, taus)), initial=0.0) <= bound
 
 
 def bits(x):

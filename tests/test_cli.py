@@ -499,15 +499,10 @@ class TestMain:
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert phrase in err["error"]
 
-    @pytest.mark.parametrize(
-        "bad", [2.6, True, math.inf, -math.inf, math.nan, "3"],
-        ids=["fraction", "bool", "inf", "-inf", "nan", "string"],
-    )
-    @pytest.mark.parametrize(
-        "field", ["j", "m", "tau.count", "window", "weights.window", "channels"]
-    )
-    def test_non_integer_rejected_before_output(self, tmp_path, capsys, field, bad):
-        overrides = {
+    @staticmethod
+    def _integer_field(field, bad):
+        """The document keys that put ``bad`` where the schema wants the integer ``field``."""
+        return {
             "j": {"config": {**FIG1_CONFIG, "j": bad}},
             "m": {"config": {**FIG1_CONFIG, "m": [0, bad]}},
             "tau.count": {"tau": {"start": 0.0, "stop": 3.0, "count": bad}},
@@ -517,9 +512,33 @@ class TestMain:
             },
             "channels": {"channels": [1, bad]},
         }[field]
-        cfg_path = self._fig1_doc(tmp_path, engine="cascade", **overrides)
+
+    @pytest.mark.parametrize(
+        "bad", [2.6, True, math.inf, -math.inf, math.nan, "3"],
+        ids=["fraction", "bool", "inf", "-inf", "nan", "string"],
+    )
+    @pytest.mark.parametrize(
+        "field", ["j", "m", "tau.count", "window", "weights.window", "channels"]
+    )
+    def test_non_integer_rejected_before_output(self, tmp_path, capsys, field, bad):
+        cfg_path = self._fig1_doc(tmp_path, engine="cascade", **self._integer_field(field, bad))
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert "must be an integer" in err["error"]
+
+    @pytest.mark.parametrize(
+        "bad", [10**30, 2**63, -(2**63) - 1, 1e30], ids=["1e30", "2**63", "-2**63-1", "float"]
+    )
+    @pytest.mark.parametrize("engine", ["cascade", "oracle"])
+    @pytest.mark.parametrize(
+        "field", ["j", "m", "tau.count", "window", "weights.window", "channels"]
+    )
+    def test_out_of_range_integer_rejected_before_output(
+        self, tmp_path, capsys, field, engine, bad
+    ):
+        # numpy cannot hold these in its int64 arrays
+        cfg_path = self._fig1_doc(tmp_path, engine=engine, **self._integer_field(field, bad))
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "must fit a signed 64-bit integer" in err["error"]
 
     @pytest.mark.parametrize("bad", [True, "3.5", None], ids=["bool", "string", "null"])
     @pytest.mark.parametrize(

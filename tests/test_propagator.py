@@ -19,7 +19,14 @@ from polyrabi.propagator import (
 )
 from polyrabi.terms import TermSum
 
-from conftest import bits, combs, dominant_peak, fsum_trace, stage_chain_plus, termwise_dev
+from conftest import (
+    assert_traced,
+    bits,
+    combs,
+    dominant_peak,
+    stage_chain_plus,
+    termwise_dev,
+)
 
 CHAIN_TAUS = np.linspace(0.0, 4.0 * math.pi, 64)
 # tau = 0 inside the grid, and a signed zero as its last point
@@ -237,17 +244,44 @@ class TestExcitationProbability:
         ids=["fig1", "n4_complex"],
     )
     def test_one_pass_equals_fsum_of_each_group(self, cfg):
-        # the total and every channel equal the group-by-group fsum, bit for bit
+        # the total and every channel come from the same values as the two
+        # public views, each held to its group's fsum: exactly at tau = 0,
+        # within a few ulps per term elsewhere
         u0 = undress(run_cascade(cfg))
         plus = u0.sigma_plus
         taus = np.linspace(0, 4 * math.pi, 257)
         groups = plus.by_shift()
         pe = excitation_probability(u0, taus, channels=[*groups, 99])
-        assert np.array_equal(bits(pe.values), bits(np.abs(fsum_trace(plus, taus)) ** 2))
+        total = plus.trace_evaluate_many(taus)
+        assert_traced(plus, taus, total)
+        assert np.array_equal(bits(pe.values), bits(np.abs(total) ** 2))
         assert pe.values[0] == 0.0
-        for s, g in groups.items():
-            assert np.array_equal(bits(pe.channels[s]), bits(np.abs(fsum_trace(g, taus)) ** 2))
+        shifts, rows = plus.trace_by_shift(taus)
+        assert shifts == tuple(groups)
+        for s, row in zip(shifts, rows):
+            assert_traced(groups[s], taus, row)
+            assert np.array_equal(bits(pe.channels[s]), bits(np.abs(row) ** 2))
         assert np.array_equal(pe.channels[99], np.zeros(len(taus)))
+
+    @staticmethod
+    def assert_zero_at_zero(cfg):
+        # every channel, not only the total, is exactly 0.0 wherever tau is 0
+        u0 = undress(run_cascade(cfg))
+        pe = excitation_probability(u0, ZEROS_INSIDE, channels=u0.sigma_plus.shifts())
+        zero = ZEROS_INSIDE == 0.0
+        assert bits(pe.values[zero]).tolist() == [0] * 2
+        for row in pe.channels.values():
+            assert bits(row[zero]).tolist() == [0] * 2
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # fig3a's 6/7 detuning
+    @pytest.mark.parametrize("exp", PRESET_EXPERIMENTS, ids=lambda e: e.name)
+    def test_every_channel_zero_at_zero_on_presets(self, exp):
+        self.assert_zero_at_zero(exp.config)
+
+    @settings(max_examples=100)
+    @given(combs(max_modes=8))
+    def test_every_channel_zero_at_zero_on_random_combs(self, cfg):
+        self.assert_zero_at_zero(cfg)
 
     def test_channel_list_and_missing_channel(self):
         cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)

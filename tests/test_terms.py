@@ -12,15 +12,15 @@ from polyrabi.terms import (
     AMP_DROP_TOL,
     Term,
     TermSum,
+    _unit_gaps,
     dagger,
-    exact_sum,
     mat_vec,
     sandwich,
 )
 
 from conftest import (
+    assert_traced,
     bits,
-    fsum_trace,
     ref_canonical,
     ref_mat_vec_row,
     ref_products,
@@ -147,6 +147,10 @@ class TestEvaluate:
         many = ts.trace_evaluate_many(taus)
         for t, v in zip(taus, many):
             assert v == at(ts, t)
+        # and so is each point of every shift row
+        rows = ts.trace_by_shift(taus)[1]
+        for t, v in zip(taus, rows.T):
+            assert np.array_equal(v, ts.trace_by_shift(np.array([t]))[1][:, 0])
 
 
 class TestFieldTrace:
@@ -169,76 +173,9 @@ class TestFieldTrace:
             assert np.allclose(lhs, rhs, rtol=0, atol=1e-13)
 
 
-def fsum_columns(x):
-    return np.array([math.fsum(c) for c in x.reshape(len(x), -1).T]).reshape(x.shape[1:])
-
-
-def hard_columns(rng, k, n):
-    """n columns of k addends drawn from sums that are hard to round."""
-    kind = rng.integers(0, 6)
-    if kind == 0:  # exponents from 1e-35 to 1e5
-        return rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-35, 5, size=(k, n))
-    if kind == 1:  # exact cancellation: every addend and its negative, shuffled
-        a = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-20, 5, size=(k, n))
-        return rng.permuted(np.concatenate([a, -a]), axis=0)
-    if kind == 2:  # a rounding midpoint of the leading pair, broken or not by tiny tails
-        x = np.zeros((k + 2, n))
-        x[0] = rng.choice([1.0, -1.0, 3.0, 0.75], size=n)
-        x[1] = x[0] * 2.0**-53 * rng.choice([1, -1, 3], size=n)
-        x[2:] = rng.choice([0.0, 1.0, -1.0], size=(k, n)) * 2.0 ** rng.integers(
-            -120, -100, size=(k, n)
-        )
-        return rng.permuted(x, axis=0)
-    if kind == 3:  # signed zeros, all-zero columns, the smallest subnormals
-        return rng.choice([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324], size=(k, n))
-    if kind == 4:  # few similar integers on a fine grid: sums often land on midpoints
-        scale = 2.0 ** rng.integers(-60, -40, size=(1, n))
-        return rng.integers(-(2**20), 2**20, size=(k, n)) * scale
-    a = rng.normal(size=(k, n))  # near-total cancellation plus a tiny remainder
-    return np.concatenate([a, -a.sum(axis=0)[None], rng.normal(size=(1, n)) * 1e-25])
-
-
-class TestExactSum:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13, 64, 255, 2000])
-    def test_equals_fsum_bit_for_bit(self, k):
-        rng = np.random.default_rng(k)
-        n = 60 if k < 100 else 6
-        for _ in range(24):
-            x = np.ascontiguousarray(hard_columns(rng, k, n))
-            assert np.array_equal(bits(exact_sum(x)), bits(fsum_columns(x)))
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_midpoint_decided_by_the_residue(self, sign):
-        # 1 + 2^-53 is a tie that rounds to 1; a residue of 2^-106 below
-        # every tree level decides it, so only exact arithmetic gets it right
-        tail = np.array([2.0**-106, -(2.0**-106), 0.0])
-        x = np.array([[1.0] * 3, [2.0**-53] * 3, tail]) * sign
-        want = np.array([1.0 + 2.0**-52, 1.0, 1.0]) * sign
-        assert np.array_equal(exact_sum(x), want)
-        assert np.array_equal(bits(exact_sum(x)), bits(fsum_columns(x)))
-
-    def test_shapes_and_zeros(self):
-        assert exact_sum(np.zeros((0, 3))).shape == (3,)
-        for x in ([[-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0]], [[-0.0, -0.0, 0.0]]):
-            got = exact_sum(np.array(x))
-            assert np.array_equal(bits(got), bits(np.zeros(3)))  # never -0.0, like fsum
-        x = np.random.default_rng(9).normal(size=(5, 2, 3))
-        assert np.array_equal(exact_sum(x), fsum_columns(x))
-
-    @given(
-        st.lists(
-            st.floats(-1e300, 1e300, allow_nan=False),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    def test_any_list(self, xs):
-        got = exact_sum(np.array(xs)[:, None])[0]
-        assert got.hex() == math.fsum(xs).hex()
-
-
 class TestTraceByShift:
     def test_rows_equal_fsum_of_each_group(self):
+        # exactly at tau = 0, within a few ulps per term elsewhere
         rng = np.random.default_rng(11)
         taus = np.linspace(0, 9, 41)
         for n in (1, 2, 6, 25):
@@ -249,18 +186,13 @@ class TestTraceByShift:
             groups = ts.by_shift()
             assert shifts == ts.shifts()
             for s, row in zip(shifts, rows):
-                assert np.array_equal(bits(row), bits(fsum_trace(groups[s], taus)))
-            assert np.array_equal(bits(ts.trace_evaluate_many(taus)), bits(fsum_trace(ts, taus)))
+                assert_traced(groups[s], taus, row)
+                assert np.array_equal(row, groups[s].trace_evaluate_many(taus))
+            assert_traced(ts, taus, ts.trace_evaluate_many(taus))
             assert rows[shifts.index(7)][0] == 0.0
-            total, shifts2, rows2 = ts.trace_with_shifts(taus)
-            assert shifts2 == shifts and np.array_equal(bits(rows2), bits(rows))
-            assert np.array_equal(bits(total), bits(ts.trace_evaluate_many(taus)))
 
     def test_empty(self):
         shifts, rows = TermSum().trace_by_shift(np.linspace(0, 1, 4))
-        assert shifts == () and rows.shape == (0, 4) and rows.dtype == complex
-        total, shifts, rows = TermSum().trace_with_shifts(np.linspace(0, 1, 4))
-        assert np.array_equal(total, np.zeros(4, complex)) and total.dtype == complex
         assert shifts == () and rows.shape == (0, 4) and rows.dtype == complex
 
 
@@ -443,7 +375,7 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_many_groups(self, seed):
-        # hundreds of merged groups, so the groups go through exact_sum
+        # hundreds of merged groups, each summed by math.fsum
         rng = np.random.default_rng(seed)
         n = 800
         amp = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -482,25 +414,33 @@ def benchmark_experiments(group):
     return workloads.coherent_scan(int(group.removeprefix("scan")), False).experiments
 
 
-def per_term_addends(ts, taus):
-    """``amp * exp(i*halffreq*tau/2)`` with one ``exp`` per term, in the same operation order."""
-    z = 0.5j * np.outer(ts.halffreq, taus)
-    np.exp(z, out=z)
-    return np.multiply(ts.amp[:, None], z, out=z)
+def per_term_gaps(ts, taus):
+    """exp(i*halffreq*tau/2) - 1 with one ``sin`` pair per term, in the same operation order."""
+    theta = 0.5 * np.multiply.outer(ts.halffreq, taus)
+    return -2.0 * np.sin(0.5 * theta) ** 2, np.sin(theta)
 
 
 class TestFrequencyTable:
-    # Gathering one exp per distinct half-frequency must leave every addend's
-    # bits as the per-term exp gives them; that holds per element only if
-    # numpy's exp returns the same bits wherever an input sits in an array.
+    # Computing the factor once per distinct half-frequency must leave every
+    # term's factor bits as a per-term table gives them; that holds per
+    # element only if numpy's sin returns the same bits wherever an input
+    # sits in an array, which also makes each point independent of its grid.
     @pytest.mark.filterwarnings("ignore::UserWarning")  # fig3a's 6/7 detuning
     @pytest.mark.parametrize("group", ["presets", "scan0", "scan1", "sweep"])
-    def test_addends_bits_equal_per_term_exp(self, group):
+    def test_factor_bits_equal_per_term_sin(self, group):
         gathered = False
         for exp in benchmark_experiments(group):
             plus = undress(run_cascade(exp.config)).sigma_plus
             taus = exp.taugrid()
-            got = plus._addends(taus).view(np.uint64)
-            assert np.array_equal(got, per_term_addends(plus, taus).view(np.uint64)), exp.name
-            gathered |= len(np.unique(plus.halffreq)) < len(plus)
+            freqs, col = np.unique(plus.halffreq, return_inverse=True)
+            for got, want in zip(_unit_gaps(freqs, taus), per_term_gaps(plus, taus)):
+                assert np.array_equal(bits(got[col]), bits(want)), exp.name
+            gathered |= len(freqs) < len(plus)
         assert gathered
+
+    def test_zero_at_tau_zero(self):
+        freqs = np.array([-3.5, -0.0, 0.0, 0.25, 7.0])
+        re, im = _unit_gaps(freqs, np.array([0.0, 1.0]))
+        assert bits(re[:, 0]).tolist() == bits(np.full(5, -0.0)).tolist()
+        assert not im[:, 0].any()
+        assert np.allclose(re[:, 1] + 1j * im[:, 1], np.expm1(0.5j * freqs), rtol=0, atol=1e-15)
