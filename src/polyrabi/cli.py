@@ -14,7 +14,6 @@ failure (leakage or norm-defect gate; partial outputs are kept).
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -85,13 +84,6 @@ class Experiment:
             raise ConfigError(f"tau endpoints must be finite, got {start!r}, {stop!r}")
         if not stop > start:
             raise ConfigError("tau stop must exceed start")
-        if self.weights is not None:
-            if not all(cmath.isfinite(a) for a in self.weights):
-                raise ConfigError("gaussian alphas must be finite")
-            if not any(self.weights):
-                raise ConfigError("at least one gaussian alpha must be nonzero")
-            if self.weight_window < 0:
-                raise ConfigError(f"weight window {self.weight_window} must be non-negative")
         if self.engine == "two_mode" and self.config.n_modes != 2:
             raise ConfigError("two_mode engine requires exactly 2 modes")
         if self.weights is not None and self.engine == "weak_field":
@@ -400,9 +392,10 @@ def run(exp: Experiment, outdir: Path) -> RunResult:
 def _parse_tau(spec: str) -> tuple[float, float, int]:
     try:
         start, stop, count = spec.split(":")
-        return (float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ConfigError(f"bad tau spec {spec!r}, expected start:stop:count") from exc
+    return (start, stop, _integer(count, "tau count"))
 
 
 def main(argv=None) -> int:
@@ -434,7 +427,7 @@ def main(argv=None) -> int:
             if args.tau is not None:
                 kw["tau"] = _parse_tau(args.tau)
             if args.window is not None:
-                kw["window"] = args.window
+                kw["window"] = _integer(args.window, "window")
             if kw:
                 exp = replace(exp, **kw)
             patched.append(exp)
@@ -446,7 +439,7 @@ def main(argv=None) -> int:
     for exp in patched:
         try:
             result = run(exp, args.out)
-        except (ConfigError, ValueError, OSError) as exc:
+        except (ConfigError, ValueError, OSError, MemoryError) as exc:
             print(json.dumps({"error": str(exc), "kind": "validation"}), file=sys.stderr)
             return 2
         if not result.oracle_valid:

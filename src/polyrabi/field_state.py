@@ -6,8 +6,9 @@ variance is sum_k k^2*|alpha_k|^2 (for a single mode this reproduces the
 Poissonian width of a coherent state, which is why the second moment is read
 as a variance here).  The weighted excitation probability sums channel
 amplitudes coherently within each final lattice level and incoherently
-across levels; with flat weights it collapses to the plain traced
-probability.
+across levels.  Summed over the final levels, that is a quadratic form of
+the channel amplitudes whose kernel is the autocorrelation of the level
+profile; with flat weights it collapses to the plain traced probability.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ class FieldWeights:
     levels: np.ndarray  # integer lattice levels
     weights: np.ndarray  # gamma^2, sums to 1 on the window
 
-    def gamma(self, level: np.ndarray | int) -> np.ndarray:
-        """Amplitude weight gamma at the given level(s); 0 outside the window."""
-        level = np.asarray(level)
-        lo = int(self.levels[0])
-        idx = level - lo
-        ok = (idx >= 0) & (idx < len(self.levels))
-        out = np.zeros(level.shape, dtype=float)
-        out[ok] = np.sqrt(self.weights[idx[ok]])
-        return out
-
 
 def gamma_weights(alpha, window: int) -> FieldWeights:
     """Gaussian level-weight profile of a multimode coherent state.
@@ -54,15 +45,24 @@ def gamma_weights(alpha, window: int) -> FieldWeights:
     ``alpha`` lists the coherent amplitudes of modes 1..K; ``window`` is the
     halfwidth (in lattice levels) of the support, centered on the rounded
     mean.  Weights are renormalized on the window, so clipping distant tails
-    keeps the total at exactly one.
+    keeps the total at exactly one.  Raises ValueError for a negative window,
+    a variance that is zero or not finite (alphas all zero, NaN, or with
+    squares that underflow or overflow) and levels past int64.
     """
     alpha = tuple(complex(a) for a in alpha)
-    if not alpha or all(a == 0 for a in alpha):
-        raise ValueError("at least one mode amplitude must be nonzero")
-    occupations = [abs(a) ** 2 for a in alpha]
-    mean = math.fsum(k * occ for k, occ in enumerate(occupations, start=1))
-    variance = math.fsum(k * k * occ for k, occ in enumerate(occupations, start=1))
+    try:
+        occupations = [abs(a) ** 2 for a in alpha]
+        mean = math.fsum(k * occ for k, occ in enumerate(occupations, start=1))
+        variance = math.fsum(k * k * occ for k, occ in enumerate(occupations, start=1))
+    except OverflowError:  # a square or a sum past the float range
+        mean = variance = math.inf
+    if window < 0:
+        raise ValueError(f"weight window {window} must be non-negative")
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"gaussian alphas must give a nonzero, finite variance, not {variance!r}")
     center = round(mean)
+    if center + window >= 2**63:
+        raise ValueError(f"weight level {center + window} must fit a signed 64-bit integer")
     levels = np.arange(center - window, center + window + 1)
     profile = np.exp(-((levels - mean) ** 2) / (2.0 * variance))
     profile /= profile.sum()
@@ -81,14 +81,20 @@ def weighted_pe(
 ) -> PeSeries:
     """Excitation probability under an explicit level-weight profile.
 
-    For each final level N the channel amplitudes are summed weighted by
-    gamma(N + shift) of the initial level they came from, and the per-level
-    probabilities are added.  Flat weights are the plain traced probability
-    (:func:`~polyrabi.propagator.excitation_probability`, ``OracleRun.pe``).
-    The weights sum to one over the levels, so the probability of each
-    channel does not depend on them: ``channels`` holds |c_s|^2 for every
-    shift s present (every site row of an oracle run), from the same
-    amplitudes.  An oracle run's rows at or below
+    With c_s the amplitude of shift s, sum_N |sum_s gamma(N + s) c_s|^2 over
+    the final levels N is Re sum_{s,s'} conj(c_s) A(s - s') c_{s'}, whose
+    kernel A(d) = sum_M gamma(M) gamma(M + d) is the autocorrelation of the
+    level profile.  A is read only at the lags up to the span of the shifts,
+    so the memory does not depend on the weight window, and the time only
+    through one dot product of its length per lag.  The result is the
+    |Gamma(theta)|^2-weighted average over theta of flat runs with couplings
+    rotated by exp(-i(j + m_k) theta), where
+    Gamma(theta) = sum_M gamma(M) exp(iM theta).  Flat weights are the plain
+    traced probability (:func:`~polyrabi.propagator.excitation_probability`,
+    ``OracleRun.pe``).  The weights sum to one over the levels, so the
+    probability of each channel does not depend on them: ``channels`` holds
+    |c_s|^2 for every shift s present (every site row of an oracle run),
+    from the same amplitudes.  An oracle run's rows at or below
     :data:`~polyrabi.terms.AMP_DROP_TOL` are left out of the weighting.
     One set of shift amplitudes serves every initial level, so the weight
     window is independent of an oracle run's site window.
@@ -101,16 +107,14 @@ def weighted_pe(
         shifts, rows = source.shift_rows()
         channels = dict(zip(shifts.tolist(), np.abs(rows) ** 2))
         keep = np.max(np.abs(rows), axis=1) > AMP_DROP_TOL
-        shifts, rows = shifts[keep].tolist(), rows[keep]
+        shifts, rows = shifts[keep], rows[keep]
     else:
-        # every sigma_+ shift group, each row correctly rounded from its raw terms
         shifts, rows = source.sigma_plus.trace_by_shift(taugrid)
         channels = dict(zip(shifts, np.abs(rows) ** 2))
-    reach = max((abs(s) for s in shifts), default=0)
-    # Final levels extend one channel reach past the initial-level window.
-    finals = np.arange(weights.levels[0] - reach, weights.levels[-1] + reach + 1)
-    # gamma(N + s) for every final level N and every shift s.
-    gam = weights.gamma(finals[:, None] + np.array(shifts, dtype=int))
-    inner = gam @ rows  # (finals, tau)
-    values = np.sum(np.abs(inner) ** 2, axis=0)
+    shifts = np.asarray(shifts, dtype=int)
+    lags = np.abs(np.subtract.outer(shifts, shifts))
+    g, n = np.sqrt(weights.weights), len(weights.weights)
+    # the profile autocorrelation A(d) up to the largest lag, zero from d = n on
+    autocorr = [g[: n - d] @ g[d:] if d < n else 0.0 for d in range(np.max(lags, initial=0) + 1)]
+    values = np.sum((rows.conj() * (np.take(autocorr, lags) @ rows)).real, axis=0)
     return PeSeries(tau=taugrid, values=values, channels=channels)

@@ -491,8 +491,14 @@ class TestMain:
             ({"kind": "gaussian", "alpha": [[math.nan, 0.0]]}, "finite"),
             ({"kind": "gaussian", "alpha": [[0.0, 0.0], [0.0, 0.0]]}, "nonzero"),
             ({"kind": "gaussian", "alpha": [[3.0, 0.0]], "window": -5}, "window -5"),
+            ({"kind": "gaussian", "alpha": [[1e-200, 0.0]]}, "variance"),
+            ({"kind": "gaussian", "alpha": [[1e10, 0.0]]}, "64-bit"),
+            ({"kind": "gaussian", "alpha": [[1e200, 0.0]]}, "variance"),
         ],
-        ids=["nan_alpha", "zero_alphas", "negative_window"],
+        ids=[
+            "nan_alpha", "zero_alphas", "negative_window",
+            "underflowing_alpha", "level_past_int64", "overflowing_alpha",
+        ],
     )
     def test_bad_weights_rejected_before_output(self, tmp_path, capsys, weights, phrase):
         cfg_path = self._fig1_doc(tmp_path, weights=weights, engine="cascade")
@@ -539,6 +545,31 @@ class TestMain:
         cfg_path = self._fig1_doc(tmp_path, engine=engine, **self._integer_field(field, bad))
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert "must fit a signed 64-bit integer" in err["error"]
+
+    @pytest.mark.parametrize(
+        "bad", [10**30, 2**63, -(2**63) - 1, 10**400], ids=["1e30", "2**63", "-2**63-1", "1e400"]
+    )
+    @pytest.mark.parametrize("option", ["--window", "--tau"])
+    def test_out_of_range_override_rejected_before_output(self, tmp_path, capsys, option, bad):
+        # the command-line overrides go through the same int64 check as the document
+        value = f"0:3.0:{bad}" if option == "--tau" else str(bad)
+        argv = ["--preset", "fig1", f"{option}={value}"]
+        err = self._rejected_before_output(tmp_path, capsys, argv)
+        assert "must fit a signed 64-bit integer" in err["error"]
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["--tau", f"0:1:{10**14}"], {}),
+            ([], {"weights": {"kind": "gaussian", "alpha": [[3.0, 0.0]], "window": 10**14}}),
+        ],
+        ids=["tau_count", "weight_window"],
+    )
+    def test_unallocatable_request_rejected_before_output(self, tmp_path, capsys, argv, doc):
+        # 10**14 elements pass the address space, so numpy refuses them at once
+        cfg_path = self._fig1_doc(tmp_path, engine="cascade", **doc)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path), *argv])
+        assert "allocate" in err["error"]
 
     @pytest.mark.parametrize("bad", [True, "3.5", None], ids=["bool", "string", "null"])
     @pytest.mark.parametrize(

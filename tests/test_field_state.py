@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyrabi.cascade import ModeConfig, run_cascade
 from polyrabi.cli import Experiment, read_series_csv, run
 from polyrabi.field_state import gamma_weights, weighted_pe
 from polyrabi.oracle import build_hamiltonian, evolve, floquet_evolve
 from polyrabi.propagator import excitation_probability, factored_pe, undress
+from polyrabi.terms import AMP_DROP_TOL
 
-from conftest import assert_traced, bits
+from conftest import assert_traced, bits, combs, stage_chain_plus
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +124,81 @@ class TestWeightedPe:
         narrow = evolve(*build_hamiltonian(fig1_cfg, 20), taus_4pi)
         for run in (narrow, floquet_evolve(fig1_cfg, 13, taus_4pi)):
             assert np.max(np.abs(weighted_pe(run, w, taus_4pi).values - want)) <= 1e-12
+
+
+def phase_average(weights, thetas, flat_pe):
+    """(1/M) sum_j |Gamma(theta_j)|^2 flat_pe[j] over M uniform phases theta_j.
+
+    Gamma(theta) = sum_M gamma(M) exp(iM theta) is the profile's Fourier
+    series.  By Parseval the average is the level-weighted P_e once M is
+    above the trigonometric degree of |Gamma|^2 times the flat P_e, which
+    is 2 * window plus the span of the shifts.
+    """
+    gamma = np.sqrt(weights.weights) @ np.exp(1j * np.outer(weights.levels, thetas))
+    return (np.abs(gamma) ** 2) @ flat_pe / len(thetas)
+
+
+def uniform_phases(degree):
+    m = 1 << int(degree).bit_length()  # a power of two above the degree
+    return 2.0 * math.pi * np.arange(m) / m
+
+
+class TestPhaseAverage:
+    """The weighting against flat runs averaged over the drive's start phase."""
+
+    @settings(max_examples=25)
+    @given(
+        cfg=combs(max_modes=4),
+        alpha=st.lists(
+            st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0), min_size=1, max_size=3
+        ),
+        window=st.sampled_from((0, 1, 3, 12)),
+    )
+    def test_cascade_equals_stage_chain_phase_average(self, cfg, alpha, window):
+        # windows 0 and 1 leave every lag past the window, where the kernel is 0
+        cr = run_cascade(cfg)
+        u0 = undress(cr)
+        taus = np.linspace(0.0, 4.0 * math.pi, 101)
+        w = gamma_weights(alpha, window)
+        got = weighted_pe(u0, w, taus).values
+        shifts = u0.sigma_plus.shifts()
+        thetas = uniform_phases(2 * window + max(shifts) - min(shifts))
+        flat = np.abs(stage_chain_plus(cr, taus, thetas)) ** 2
+        assert np.max(np.abs(got - phase_average(w, thetas, flat))) <= 1e-13
+        assert got[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0),
+            ModeConfig(j=1, m=(0, 1, 3), omega=(0.2, 0.1 - 0.15j, 0.12j), delta0=2.4),
+        ],
+        ids=["fig1", "complex_three_mode"],
+    )
+    def test_oracle_equals_rotated_coupling_phase_average(self, cfg):
+        # the flat run at phase theta drives mode k with Omega_k exp(-i(j + m_k) theta)
+        taus = np.linspace(0.0, 4.0 * math.pi, 101)
+        w = gamma_weights([1.5, 0.7j], 3)
+        weighted = floquet_evolve(cfg, 60, taus)
+        got = weighted_pe(weighted, w, taus).values
+        shifts, rows = weighted.shift_rows()
+        present = shifts[np.max(np.abs(rows), axis=1) > AMP_DROP_TOL]  # the weighted rows
+        thetas = uniform_phases(2 * 3 + present.max() - present.min())
+        rotate = np.exp(-1j * np.outer(thetas, cfg.mode_shifts))
+        flat = [
+            floquet_evolve(replace(cfg, omega=tuple(cfg.omega * r)), 60, taus).pe.values
+            for r in rotate
+        ]
+        assert np.max(np.abs(got - phase_average(w, thetas, np.array(flat)))) <= 1e-13
+
+    def test_memory_does_not_grow_with_the_window(self, fig1_u0):
+        # the kernel is read at the shift lags only, never over the final levels
+        taus = np.linspace(0, 4 * math.pi, 1000)
+        w = gamma_weights([10.0], 6000)
+        tracemalloc.start()
+        try:
+            weighted_pe(fig1_u0, w, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
