@@ -81,7 +81,10 @@ class ModeConfig:
     ``(j + m[k]) * omega_f`` and ``delta0 = omega_0 - j*omega_f`` is the bare
     detuning from the lowest mode.  ``omega`` holds the complex Rabi
     amplitude of each mode.  A config whose modes are dressed out of offset
-    order warns (:class:`ResonanceOrderWarning`).
+    order warns (:class:`ResonanceOrderWarning`).  A shift that dressing or
+    undressing forms sums one mode shift s_k = j + m_k and at most two per
+    stage, so 2 sum_k |s_k| + max_k |s_k| must stay below 2**62: every shift
+    and every difference of two then fits a signed 64-bit integer.
     """
 
     j: int
@@ -104,6 +107,9 @@ class ModeConfig:
             raise ValueError("mode offsets must start at 0")
         if any(b <= a for a, b in zip(self.m, self.m[1:])):
             raise ValueError("mode offsets must be strictly ascending")
+        reach = 2 * sum(map(abs, self.mode_shifts)) + max(map(abs, self.mode_shifts))
+        if reach >= 2**62:
+            raise ValueError(f"dressing forms ladder shifts up to {reach}, past 2**62")
         if self.dressing_order != tuple(range(self.n_modes)):
             warnings.warn(
                 "spin is closer to resonance with a lower mode than with the "

@@ -319,16 +319,17 @@ class RunResult:
     oracle_valid: bool = True
 
 
-def _series(exp: Experiment, engine: str, taus: np.ndarray) -> tuple[PeSeries, bool]:
+def _series(exp: Experiment, engine: str, taus: np.ndarray, weights) -> tuple[PeSeries, bool]:
     """One engine's series, and whether it is valid (only the oracle can fail).
 
-    A flat cascade run without channels reads only the traced P_e, so it
+    ``weights`` is the experiment's level-weight profile, None when flat.  A
+    flat cascade run without channels reads only the traced P_e, so it
     multiplies the stage chain out (:func:`~polyrabi.propagator.factored_pe`)
     instead of expanding it into terms; every other analytic run evaluates
     the term expansion.
     """
     cfg = exp.config
-    flat = exp.weights is None
+    flat = weights is None
     if engine == "cascade" and flat and not exp.channels:
         return factored_pe(run_cascade(cfg), taus), True
     if engine == "weak_field":
@@ -341,26 +342,23 @@ def _series(exp: Experiment, engine: str, taus: np.ndarray) -> tuple[PeSeries, b
         source = two_mode_u0(cfg) if engine == "two_mode" else undress(run_cascade(cfg))
         if flat:
             return excitation_probability(source, taus, channels=exp.channels), True
-    # the weighted run's channels come from the same shift amplitudes
-    weighted = weighted_pe(source, gamma_weights(exp.weights, exp.weight_window), taus)
-    channels = None
-    if exp.channels:
-        channels = {s: weighted.channels.get(s, np.zeros(taus.shape)) for s in exp.channels}
-    series = PeSeries(tau=taus, values=weighted.values, channels=channels)
+    series = weighted_pe(source, weights, taus, channels=exp.channels)
     return series, engine != "oracle" or source.valid
 
 
 def run(exp: Experiment, outdir: Path) -> RunResult:
     """Execute one experiment and write its artifacts under ``outdir``.
 
-    Every series and comparison is computed before the first file is
-    written, so a run that raises leaves nothing behind.
+    The weights are built once, before any engine runs, and every series
+    and comparison is computed before the first file is written, so a run
+    that raises leaves nothing behind.
     """
     taus = exp.taugrid()
+    weights = None if exp.weights is None else gamma_weights(exp.weights, exp.weight_window)
     result = RunResult()
     produced: dict[str, PeSeries] = {}
     for engine in exp.engines():
-        produced[engine], valid = _series(exp, engine, taus)
+        produced[engine], valid = _series(exp, engine, taus, weights)
         result.oracle_valid &= valid
     reports = {}
     if "oracle" in produced:
@@ -398,8 +396,13 @@ def _parse_tau(spec: str) -> tuple[float, float, int]:
     return (start, stop, _integer(count, "tau count"))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # parse errors take the JSON error path
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyrabi",
         description="Run comb-driven spin-half pipelines and emit data series.",
     )
@@ -409,9 +412,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tau", help="grid override start:stop:count")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--window", type=int, help="oracle leakage-gate boundary override")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         if (args.preset is None) == (args.config is None):
             raise ConfigError("give exactly one of --preset or --config")
         if args.preset:
@@ -431,7 +434,8 @@ def main(argv=None) -> int:
             if kw:
                 exp = replace(exp, **kw)
             patched.append(exp)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, OSError, RecursionError) as exc:
+        # a RecursionError is a document nested past the JSON decoder's depth
         print(json.dumps({"error": str(exc), "kind": "validation"}), file=sys.stderr)
         return 2
 

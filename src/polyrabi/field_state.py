@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import OracleRun
-from .propagator import PeSeries, PropagatorComponents
+from .propagator import PeSeries, _channel_probs
 from .terms import AMP_DROP_TOL
 
 __all__ = [
@@ -74,47 +73,38 @@ def gamma_weights(alpha, window: int) -> FieldWeights:
     )
 
 
-def weighted_pe(
-    source: PropagatorComponents | OracleRun,
-    weights: FieldWeights,
-    taugrid: np.ndarray,
-) -> PeSeries:
+def weighted_pe(source, weights: FieldWeights, taugrid: np.ndarray, channels=None) -> PeSeries:
     """Excitation probability under an explicit level-weight profile.
 
-    With c_s the amplitude of shift s, sum_N |sum_s gamma(N + s) c_s|^2 over
-    the final levels N is Re sum_{s,s'} conj(c_s) A(s - s') c_{s'}, whose
-    kernel A(d) = sum_M gamma(M) gamma(M + d) is the autocorrelation of the
-    level profile.  A is read only at the lags up to the span of the shifts,
-    so the memory does not depend on the weight window, and the time only
-    through one dot product of its length per lag.  The result is the
+    With c_s the amplitude of shift s, read from ``source.shift_rows(taugrid)``
+    (an analytic propagator, or an oracle run on its own grid),
+    sum_N |sum_s gamma(N + s) c_s|^2 over the final levels N is
+    Re sum_{s,s'} conj(c_s) A(s - s') c_{s'}, whose kernel
+    A(d) = sum_M gamma(M) gamma(M + d) is the autocorrelation of the level
+    profile.  A is zero from the window length L on and read only up to
+    the smaller of L and the span of the shifts, so the memory does not
+    depend on the weight window, and the time only through one dot product
+    of its length per lag.  The result is the
     |Gamma(theta)|^2-weighted average over theta of flat runs with couplings
     rotated by exp(-i(j + m_k) theta), where
     Gamma(theta) = sum_M gamma(M) exp(iM theta).  Flat weights are the plain
     traced probability (:func:`~polyrabi.propagator.excitation_probability`,
     ``OracleRun.pe``).  The weights sum to one over the levels, so the
-    probability of each channel does not depend on them: ``channels`` holds
-    |c_s|^2 for every shift s present (every site row of an oracle run),
-    from the same amplitudes.  An oracle run's rows at or below
-    :data:`~polyrabi.terms.AMP_DROP_TOL` are left out of the weighting.
-    One set of shift amplitudes serves every initial level, so the weight
-    window is independent of an oracle run's site window.
+    probability of each channel does not depend on them: the requested
+    ``channels`` are the flat split of ``excitation_probability``.  Rows at
+    or below :data:`~polyrabi.terms.AMP_DROP_TOL` are left out of the
+    weighting.  One set of shift amplitudes serves every initial level, so
+    the weight window is independent of an oracle run's site window.
     """
     taugrid = np.asarray(taugrid, dtype=float)
-    if isinstance(source, OracleRun):
-        if not np.array_equal(taugrid, source.tau):
-            raise ValueError("taugrid must match the oracle run's grid")
-        # every site row is a channel; only those above AMP_DROP_TOL are weighted
-        shifts, rows = source.shift_rows()
-        channels = dict(zip(shifts.tolist(), np.abs(rows) ** 2))
-        keep = np.max(np.abs(rows), axis=1) > AMP_DROP_TOL
-        shifts, rows = shifts[keep], rows[keep]
-    else:
-        shifts, rows = source.sigma_plus.trace_by_shift(taugrid)
-        channels = dict(zip(shifts, np.abs(rows) ** 2))
-    shifts = np.asarray(shifts, dtype=int)
-    lags = np.abs(np.subtract.outer(shifts, shifts))
+    shifts, rows = source.shift_rows(taugrid)
+    chan = _channel_probs(shifts, rows, channels) if channels else None
+    keep = np.max(np.abs(rows), axis=1, initial=0.0) > AMP_DROP_TOL
+    shifts, rows = np.asarray(shifts, dtype=int)[keep], rows[keep]
     g, n = np.sqrt(weights.weights), len(weights.weights)
-    # the profile autocorrelation A(d) up to the largest lag, zero from d = n on
-    autocorr = [g[: n - d] @ g[d:] if d < n else 0.0 for d in range(np.max(lags, initial=0) + 1)]
+    lags = np.minimum(np.abs(np.subtract.outer(shifts, shifts)), n)
+    # the profile autocorrelation A(d) up to the largest lag; a lag from n on reads
+    # A(n), an empty dot product, 0.0
+    autocorr = [g[: n - d] @ g[d:] for d in range(np.max(lags, initial=0) + 1)]
     values = np.sum((rows.conj() * (np.take(autocorr, lags) @ rows)).real, axis=0)
-    return PeSeries(tau=taugrid, values=values, channels=channels)
+    return PeSeries(tau=taugrid, values=values, channels=chan)

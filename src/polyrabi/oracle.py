@@ -33,10 +33,11 @@ most ``sqrt(dim) * OVERLAP_CUT`` at every time.
 Both hand one constructor of the run record, :class:`OracleRun`, the same
 reads of the comb-frame amplitudes ``exp(i n tau) <n, sigma|psi>`` (the
 diagonal lattice energy rotated away): their coherent sum over the up sites,
-the requested channels' rows, the squared norm and the population past the
-leakage gate's boundary.  It alone turns these into P_e, the channel
-probabilities, the norm defect, the leakage and ``valid``.  All comparisons
-between the analytic machinery and a reference go through :func:`compare`.
+the requested channels' probabilities, the squared norm and the population
+past the leakage gate's boundary.  It alone turns these into P_e, the norm
+defect, the leakage and ``valid``; its ``shift_rows`` hands out the up rows
+as shift amplitudes, site n as shift -n.  All comparisons between the
+analytic machinery and a reference go through :func:`compare`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .cascade import ModeConfig, StageParams, DegenerateStageError
-from .propagator import PeSeries
+from .propagator import PeSeries, _channel_probs
 
 __all__ = [
     "LEAKAGE_TOL",
@@ -179,7 +180,7 @@ class OracleRun:
 
     ``up_amplitudes`` holds the comb-frame up-spin amplitudes
     exp(i n tau) <n, up|psi(tau)>, one row per site n = -R..R: R is the
-    lattice ``halfwidth`` W, and for the Floquet solver the reach 2K of the
+    lattice halfwidth W, and for the Floquet solver the reach 2K of the
     modes' harmonics, whatever W is.  Sites beyond R carry no amplitude.
     The Floquet solver builds these rows only when they are first read.
     ``valid`` holds when ``leakage``, the largest population on the sites
@@ -187,7 +188,6 @@ class OracleRun:
     most :data:`NORM_TOL`.
     """
 
-    halfwidth: int
     tau: np.ndarray
     pe: PeSeries
     norm_defect: float
@@ -200,37 +200,29 @@ class OracleRun:
         """(sites, tau), comb frame."""
         return self._rows()
 
-    def shift_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every shift in ascending order and its amplitude: the site rows, reversed."""
+    def shift_rows(self, taugrid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every shift -R..R and its amplitude on the run's grid: the site rows, reversed."""
+        if not np.array_equal(np.asarray(taugrid, dtype=float), self.tau):
+            raise ValueError("taugrid must match the oracle run's grid")
         reach = len(self.up_amplitudes) // 2
         return np.arange(-reach, reach + 1), self.up_amplitudes[::-1]
 
 
-def _shift_row(rows: np.ndarray, shift: int) -> np.ndarray:
-    """Row -``shift`` of site rows -R..R, zero past R."""
-    reach = len(rows) // 2
-    if abs(shift) > reach:
-        return np.zeros(rows.shape[1], dtype=complex)
-    return rows[reach - shift]
-
-
-def _oracle_run(halfwidth, taugrid, total, channels, norm, edge, rows) -> OracleRun:
+def _oracle_run(taugrid, total, channels, norm, edge, rows) -> OracleRun:
     """The run record, from what a run reads of the state on ``taugrid``.
 
     ``total`` is the P_e amplitude, the coherent sum of the comb-frame up
     amplitudes over every site, and ``channels`` maps each requested shift
-    to its amplitude (or is None).  ``norm`` is the squared norm of the
-    state and ``edge`` its population on the sites beyond 0.9 ``halfwidth``
-    W, the leakage gate's boundary.  ``rows`` returns the up amplitudes of
-    sites -R..R (R may be smaller or larger than W) when they are first read.
+    to its probability (or is None).  ``norm`` is the squared norm of the
+    state and ``edge`` its population on the sites beyond 0.9 W, the
+    leakage gate's boundary.  ``rows`` returns the up amplitudes of sites
+    -R..R (R may be smaller or larger than W) when they are first read.
     """
     norm_defect = float(np.max(np.abs(np.sqrt(norm) - 1.0)))
     leakage = float(np.max(edge))
-    chan = None if channels is None else {s: np.abs(a) ** 2 for s, a in channels.items()}
     return OracleRun(
-        halfwidth=halfwidth,
         tau=taugrid,
-        pe=PeSeries(tau=taugrid, values=np.abs(total) ** 2, channels=chan),
+        pe=PeSeries(tau=taugrid, values=np.abs(total) ** 2, channels=channels),
         norm_defect=norm_defect,
         leakage=leakage,
         valid=leakage <= LEAKAGE_TOL and norm_defect <= NORM_TOL,
@@ -254,7 +246,7 @@ def evolve(
     interleaved real/imaginary view of the phases.  The excitation
     probability is the squared coherent sum of the up-sector amplitudes
     with the per-site phase exp(i n tau) removed by the trace convention of
-    the analytic series.
+    the analytic series; channel s is site -s, exactly zero past W.
     """
     taugrid = np.asarray(taugrid, dtype=float)
     evals, evecs = np.linalg.eigh(h)
@@ -272,10 +264,9 @@ def evolve(
     pop = up.real**2 + up.imag**2 + down.real**2 + down.imag**2  # (sites, tau)
     edge = np.abs(basis.sites) > 0.9 * basis.halfwidth
     return _oracle_run(
-        basis.halfwidth,
         taugrid,
         np.sum(up, axis=0),
-        None if channels is None else {int(s): _shift_row(up, int(s)) for s in channels},
+        None if channels is None else _channel_probs(basis.sites, up[::-1], channels),
         np.sum(pop, axis=0),
         np.sum(pop[edge], axis=0),
         partial(np.asarray, up),
@@ -514,10 +505,9 @@ def floquet_evolve(
         gram = (norm_w @ phase).reshape(2, 2, -1)
         norm[part] = np.einsum("at,bt,abt->t", turn, turn.conj(), gram).real
     return _oracle_run(
-        halfwidth,
         taugrid,
         total,
-        None if channels is None else dict(zip(shifts, chans)),
+        None if channels is None else dict(zip(shifts, np.abs(chans) ** 2)),
         norm,
         edge_pop,
         partial(_site_rows, eps, coef, taugrid),

@@ -14,7 +14,9 @@ map U -> A U B of two stage unitaries
 The excitation probability is the squared modulus of the sigma_+ component
 after the equal-weight partial trace over the field lattice; grouping the
 sigma_+ terms by ladder shift before tracing gives the per-channel
-transition probabilities.
+transition probabilities.  Every source of shift amplitudes hands them out
+as ``shift_rows(taugrid)``, and every reader's requested channels are their
+squared moduli, exactly zero at a shift without a row.
 
 The term expansion is the analytic expression; it is not the cheapest way
 to a number.  With every ladder displacement read as 1, the propagator at
@@ -65,6 +67,10 @@ class PropagatorComponents:
     def hermiticity_defect(self) -> float:
         return (self.u[3] + self.u[2].conjugate_mirror()).max_abs_amp()
 
+    def shift_rows(self, taugrid: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """The sigma_+ shifts in ascending order and their traced amplitudes, one row each."""
+        return self.sigma_plus.trace(taugrid)[1:]
+
 
 @dataclass(frozen=True)
 class PeSeries:
@@ -77,6 +83,12 @@ class PeSeries:
     tau: np.ndarray
     values: np.ndarray
     channels: dict[int, np.ndarray] | None = field(default=None)
+
+
+def _channel_probs(shifts, rows: np.ndarray, channels) -> dict[int, np.ndarray]:
+    """|c_s|^2 of each requested shift s in order, c_s its row; exactly zero without a row."""
+    row = dict(zip(np.asarray(shifts).tolist(), rows))
+    return {int(s): np.abs(row.get(int(s), np.zeros(rows.shape[1]))) ** 2 for s in channels}
 
 
 def dressed_propagator(p: StageParams) -> PropagatorComponents:
@@ -131,18 +143,14 @@ def excitation_probability(
     shifts) come from the same evaluation of the terms; the total is the
     squared modulus of the coherent sum over channels.  Each traced value is
     its value at tau = 0, the ``math.fsum`` of its amplitudes, plus a part
-    that vanishes there (:meth:`~polyrabi.terms.TermSum.trace_evaluate_many`),
+    that vanishes there (:meth:`~polyrabi.terms.TermSum.trace`),
     so P_e(0) == 0.0 and every channel at tau = 0 is 0.0 wherever the
     amplitudes cancel exactly, as undressing leaves them.
     """
     taugrid = np.asarray(taugrid, dtype=float)
-    total, shifts, rows = u0.sigma_plus._traced(taugrid)
-    values = np.abs(total.reshape(taugrid.shape)) ** 2
-    if not channels:
-        return PeSeries(tau=taugrid, values=values)
-    probs = dict(zip(shifts, np.abs(rows) ** 2))
-    chan = {int(s): probs.get(int(s), np.zeros(taugrid.shape)) for s in channels}
-    return PeSeries(tau=taugrid, values=values, channels=chan)
+    total, shifts, rows = u0.sigma_plus.trace(taugrid)
+    chan = _channel_probs(shifts, rows, channels) if channels else None
+    return PeSeries(tau=taugrid, values=np.abs(total.reshape(taugrid.shape)) ** 2, channels=chan)
 
 
 def _factored_plus(cr: CascadeResult, taugrid: np.ndarray) -> np.ndarray:

@@ -31,7 +31,8 @@ All values are immutable; every operation returns a new object.
 
 A sum is evaluated on a time grid with its shifts traced out (read as
 unity), as its value at tau = 0 plus a part that vanishes there:
-sum_f a_f * (exp(i*f*tau/2) - 1) over its distinct half-frequencies.  The
+sum_f a_f * (exp(i*f*tau/2) - 1) over its distinct half-frequencies, in
+one pass for the total and each shift's row (:meth:`TermSum.trace`).  The
 value at tau = 0 is the ``math.fsum`` of the amplitudes, so a sum that
 cancels there evaluates to exactly zero; elsewhere each value is within a
 few ulps per term of the exact sum, and does not depend on the grid.
@@ -343,14 +344,15 @@ class TermSum:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _traced(self, taus: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    def trace(self, taus: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
         """The traced total, the shifts in ascending order and one row per shift.
 
-        Every displacement is read as unity.  Each value is its group's value
-        at tau = 0, the ``math.fsum`` of its amplitudes, plus
-        sum_f a_f (exp(i*f*tau/2) - 1) over the distinct half-frequencies in
-        ascending order, added point by point, so a point's value does not
-        depend on its grid; for the total, a_f sums over the shifts.
+        Every displacement is read as unity, on the flattened grid.  Each
+        value is its group's value at tau = 0, the ``math.fsum`` of its
+        amplitudes, plus sum_f a_f (exp(i*f*tau/2) - 1) over the distinct
+        half-frequencies in ascending order, added point by point, so a
+        point's value does not depend on its grid; for the total, a_f sums
+        over the shifts.
         """
         taus = np.asarray(taus, dtype=float).ravel()
         freqs, col = np.unique(self.halffreq, return_inverse=True)
@@ -375,18 +377,11 @@ class TermSum:
     def trace_evaluate_many(self, taus: np.ndarray) -> np.ndarray:
         """Values sum(amp * exp(i*halffreq*tau/2)) over a time grid, every shift read as unity.
 
-        Exact at tau = 0, where the value is the ``math.fsum`` of the
-        amplitudes, so a sum that cancels there evaluates to exactly zero.
+        The total of :meth:`trace`, in the grid's shape: exact at tau = 0,
+        so a sum that cancels there evaluates to exactly zero.
         """
         taus = np.asarray(taus, dtype=float)
-        return self._traced(taus)[0].reshape(taus.shape)
-
-    def trace_by_shift(self, taus: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        """The shifts in ascending order and their traced values, one row per shift.
-
-        Row s equals ``self.by_shift()[s].trace_evaluate_many(taus)``.
-        """
-        return self._traced(taus)[1:]
+        return self.trace(taus)[0].reshape(taus.shape)
 
 
 _ZERO = TermSum()

@@ -571,6 +571,85 @@ class TestMain:
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path), *argv])
         assert "allocate" in err["error"]
 
+    def test_weights_built_once_before_any_engine(self, tmp_path, capsys, monkeypatch):
+        # an out-of-domain alpha exits before any engine runs; a valid
+        # weighted run over every engine builds its weights once
+        def never(*a, **kw):
+            raise AssertionError("an engine ran before the weights were built")
+
+        for name in ("run_cascade", "two_mode_u0", "floquet_evolve"):
+            monkeypatch.setattr(cli, name, never)
+        weights = {"kind": "gaussian", "alpha": [[1e-200, 0.0]]}
+        cfg_path = self._fig1_doc(tmp_path, weights=weights)
+        argv = ["--config", str(cfg_path), "--engine", "all"]
+        err = self._rejected_before_output(tmp_path, capsys, argv)
+        assert "variance" in err["error"]
+        monkeypatch.undo()
+
+        calls = []
+        build = cli.gamma_weights
+        monkeypatch.setattr(cli, "gamma_weights", lambda *a: calls.append(a) or build(*a))
+        weights = {"kind": "gaussian", "alpha": [[3.0, 0.0]], "window": 20}
+        cfg_path = self._fig1_doc(tmp_path, weights=weights)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
+        assert len(calls) == 1
+        assert {p.name for p in (tmp_path / "ok").glob("*.csv")} == {
+            "run_cascade.csv", "run_two_mode.csv", "run_oracle.csv",
+        }
+
+    # The largest shift the dressing can form on the comb m = (0, 2) at j > 0
+    # is 2 * (j + j + 2) + j + 2 = 5j + 6, held below 2**62.
+    J_INSIDE = (2**62 - 7) // 5
+
+    @pytest.mark.parametrize(
+        "j, m", [(J_INSIDE + 1, [0, 2]), (2**62, [0, 2**62]), (-(2**62), [0, 2])],
+        ids=["just_past", "shift_past_int64", "negative"],
+    )
+    @pytest.mark.parametrize("engine", ["cascade", "two_mode", "all"])
+    def test_shift_past_the_bound_rejected_before_output(self, tmp_path, capsys, j, m, engine):
+        config = {**FIG1_CONFIG, "j": j, "m": m}
+        cfg_path = self._fig1_doc(tmp_path, config=config, engine=engine, channels=[j])
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "2**62" in err["error"]
+
+    def test_shift_just_inside_the_bound_matches_the_j1_comb(self, tmp_path):
+        # only the channel labels depend on j: P_e and every channel agree bit
+        # for bit with the j = 1 comb's
+        series = []
+        for j in (1, self.J_INSIDE):
+            config = {**FIG1_CONFIG, "j": j}
+            cfg_path = self._fig1_doc(
+                tmp_path, config=config, engine="cascade", channels=[j, j + 2, j - 2]
+            )
+            assert main(["--config", str(cfg_path), "--out", str(tmp_path / str(j))]) == 0
+            series.append(read_series_csv(tmp_path / str(j) / "run_cascade.csv"))
+        low, high = series
+        assert list(high.channels) == [self.J_INSIDE + d for d in (0, 2, -2)]
+        assert np.array_equal(low.values, high.values)
+        for a, b in zip(low.channels.values(), high.channels.values()):
+            assert np.array_equal(a, b)
+
+    def test_deeply_nested_config_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text("[" * 100000 + "]" * 100000)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "recursion" in err["error"]
+
+    @pytest.mark.parametrize(
+        "argv, phrase",
+        [
+            (["--preset", "fig1", "--window", "abc"], "invalid int value"),
+            (["--preset", "nope"], "invalid choice"),
+            (["--preset", "fig1", "--engine", "zzz"], "invalid choice"),
+            (["--preset", "fig1", "--bogus"], "unrecognized arguments"),
+        ],
+        ids=["window", "preset", "engine", "unknown_flag"],
+    )
+    def test_argument_error_rejected_before_output(self, tmp_path, capsys, argv, phrase):
+        # main returns 2 with the JSON error instead of raising SystemExit
+        err = self._rejected_before_output(tmp_path, capsys, argv)
+        assert phrase in err["error"]
+
     @pytest.mark.parametrize("bad", [True, "3.5", None], ids=["bool", "string", "null"])
     @pytest.mark.parametrize(
         "field",

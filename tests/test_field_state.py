@@ -70,13 +70,13 @@ class TestWeightedPe:
         cfg = ModeConfig(j=1, m=(0, 1, 2), omega=(0.1, 0.07 - 0.1j, 0.15j), delta0=2.2)
         u0 = undress(run_cascade(cfg))
         taus = np.linspace(0, 4 * math.pi, 301)
-        shifts, rows = u0.sigma_plus.trace_by_shift(taus)
+        shifts, rows = u0.shift_rows(taus)
         groups = u0.sigma_plus.by_shift()
         assert list(shifts) == sorted(groups)
         for s, row in zip(shifts, rows):
             assert_traced(groups[s], taus, row)
         # the channels come from the same rows, so they equal the flat split
-        got = weighted_pe(u0, gamma_weights([3.0, 1.5j], 40), taus)
+        got = weighted_pe(u0, gamma_weights([3.0, 1.5j], 40), taus, channels=shifts)
         flat = excitation_probability(u0, taus, channels=shifts)
         assert got.channels.keys() == flat.channels.keys()
         for s in shifts:
@@ -106,6 +106,26 @@ class TestWeightedPe:
         dev = np.max(np.abs(weighted_pe(fig1_u0, w, taus).values - plain))
         assert dev > 1e-3  # reported sensitivity, not an error
 
+    def test_far_shifts_weigh_incoherently(self):
+        # shifts farther apart than the weight window share no level, so the
+        # weighted P_e is the sum of the channels; the kernel stops at the
+        # window length instead of running out to the 2e6 lag
+        with pytest.warns(UserWarning):  # the lower mode is nearer resonance
+            cfg = ModeConfig(j=1, m=(0, 10**6), omega=(0.5, 0.5), delta0=1.0)
+        u0 = undress(run_cascade(cfg))
+        taus = np.linspace(0, 4 * math.pi, 200)
+        shifts = u0.sigma_plus.shifts()
+        assert min(np.diff(shifts)) == 10**6
+        tracemalloc.start()
+        try:
+            got = weighted_pe(u0, gamma_weights([3.0], 20), taus).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flat = excitation_probability(u0, taus, channels=shifts).channels
+        assert np.max(np.abs(got - sum(flat.values()))) <= 1e-15
+        assert peak < 1e6
+
     def test_oracle_source_matches_analytic_weighting(self, fig1_u0):
         cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)
         taus = np.linspace(0, 4 * math.pi, 200)
@@ -124,6 +144,43 @@ class TestWeightedPe:
         narrow = evolve(*build_hamiltonian(fig1_cfg, 20), taus_4pi)
         for run in (narrow, floquet_evolve(fig1_cfg, 13, taus_4pi)):
             assert np.max(np.abs(weighted_pe(run, w, taus_4pi).values - want)) <= 1e-12
+
+
+class TestRequestedChannels:
+    """Every reader returns the requested channels in order, zero where a shift has no row."""
+
+    def test_term_path(self, fig1_u0, taus_4pi):
+        w = gamma_weights([3.0], 20)
+        for pe in (
+            lambda channels: excitation_probability(fig1_u0, taus_4pi, channels=channels),
+            lambda channels: weighted_pe(fig1_u0, w, taus_4pi, channels=channels),
+        ):
+            got = pe((3, 99, -1, 1))
+            assert list(got.channels) == [3, 99, -1, 1]
+            assert np.array_equal(bits(got.channels[99]), bits(np.zeros(len(taus_4pi))))
+            assert all(np.max(got.channels[s]) > 0.0 for s in (3, -1, 1))
+            assert pe(()).channels is None and pe(None).channels is None
+
+    def test_floquet_weighted(self, fig1_cfg, taus_4pi):
+        run = floquet_evolve(fig1_cfg, 60, taus_4pi)
+        assert np.max(np.abs(run.shift_rows(taus_4pi)[0])) < 99  # no row at 99
+        w = gamma_weights([3.0], 20)
+        got = weighted_pe(run, w, taus_4pi, channels=(3, 99, -1, 1))
+        assert list(got.channels) == [3, 99, -1, 1]
+        assert np.array_equal(bits(got.channels[99]), bits(np.zeros(len(taus_4pi))))
+        assert all(np.max(got.channels[s]) > 0.0 for s in (3, -1, 1))
+        assert weighted_pe(run, w, taus_4pi, channels=()).channels is None
+        with pytest.raises(ValueError, match="grid"):
+            weighted_pe(run, w, taus_4pi[:-1])
+
+    def test_lattice_zero_past_the_halfwidth(self, fig1_cfg, taus_4pi):
+        h, basis = build_hamiltonian(fig1_cfg, 20)
+        got = evolve(h, basis, taus_4pi, channels=(3, 21, -1, -21)).pe
+        assert list(got.channels) == [3, 21, -1, -21]
+        for s in (21, -21):
+            assert np.array_equal(bits(got.channels[s]), bits(np.zeros(len(taus_4pi))))
+        assert np.max(got.channels[3]) > 0.0 and np.max(got.channels[-1]) > 0.0
+        assert evolve(h, basis, taus_4pi, channels=()).pe.channels == {}
 
 
 def phase_average(weights, thetas, flat_pe):
@@ -181,7 +238,7 @@ class TestPhaseAverage:
         w = gamma_weights([1.5, 0.7j], 3)
         weighted = floquet_evolve(cfg, 60, taus)
         got = weighted_pe(weighted, w, taus).values
-        shifts, rows = weighted.shift_rows()
+        shifts, rows = weighted.shift_rows(taus)
         present = shifts[np.max(np.abs(rows), axis=1) > AMP_DROP_TOL]  # the weighted rows
         thetas = uniform_phases(2 * 3 + present.max() - present.min())
         rotate = np.exp(-1j * np.outer(thetas, cfg.mode_shifts))

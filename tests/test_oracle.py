@@ -43,7 +43,7 @@ def lattice(cfg, halfwidth, taus, channels=None):
 
 def shift_table(run, halfwidth):
     """A run's shift amplitudes over the shifts -halfwidth..halfwidth, zero past its rows."""
-    shifts, rows = run.shift_rows()
+    shifts, rows = run.shift_rows(run.tau)
     table = np.zeros((2 * halfwidth + 1, len(run.tau)), dtype=complex)
     inside = np.abs(shifts) <= halfwidth
     table[shifts[inside] + halfwidth] = rows[inside]
@@ -296,7 +296,7 @@ class TestEvolve:
     def test_channel_amplitudes_recombine(self, fig1_oracle):
         # coherent channel sum reproduces the total probability
         run = fig1_oracle
-        total = run.shift_rows()[1].sum(axis=0)
+        total = run.shift_rows(run.tau)[1].sum(axis=0)
         assert np.allclose(np.abs(total) ** 2, run.pe.values, atol=1e-20)
 
 

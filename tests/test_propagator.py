@@ -181,7 +181,7 @@ class TestUndress:
         # one inverse FFT over the phase theta of b_s = exp(-i s theta) splits
         # the chain by shift; more phases than twice the reach leave no alias
         cr = run_cascade(cfg)
-        shifts, rows = undress(cr).sigma_plus.trace_by_shift(CHAIN_TAUS)
+        shifts, rows = undress(cr).shift_rows(CHAIN_TAUS)
         n = 1 << (2 * max(map(abs, shifts), default=0)).bit_length()
         thetas = 2.0 * math.pi * np.arange(n) / n
         want = np.fft.ifft(stage_chain_plus(cr, CHAIN_TAUS, thetas), axis=0)
@@ -256,7 +256,7 @@ class TestExcitationProbability:
         assert_traced(plus, taus, total)
         assert np.array_equal(bits(pe.values), bits(np.abs(total) ** 2))
         assert pe.values[0] == 0.0
-        shifts, rows = plus.trace_by_shift(taus)
+        shifts, rows = u0.shift_rows(taus)
         assert shifts == tuple(groups)
         for s, row in zip(shifts, rows):
             assert_traced(groups[s], taus, row)

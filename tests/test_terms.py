@@ -148,9 +148,9 @@ class TestEvaluate:
         for t, v in zip(taus, many):
             assert v == at(ts, t)
         # and so is each point of every shift row
-        rows = ts.trace_by_shift(taus)[1]
+        rows = ts.trace(taus)[2]
         for t, v in zip(taus, rows.T):
-            assert np.array_equal(v, ts.trace_by_shift(np.array([t]))[1][:, 0])
+            assert np.array_equal(v, ts.trace(np.array([t]))[2][:, 0])
 
 
 class TestFieldTrace:
@@ -182,17 +182,19 @@ class TestTraceByShift:
             ts = random_sum(rng, n)
             # a group that cancels exactly at tau = 0
             ts = ts + TermSum([Term(0.3 - 0.2j, 1.5, 7), Term(-0.3 + 0.2j, -2.5, 7)])
-            shifts, rows = ts.trace_by_shift(taus)
+            total, shifts, rows = ts.trace(taus)
             groups = ts.by_shift()
             assert shifts == ts.shifts()
             for s, row in zip(shifts, rows):
                 assert_traced(groups[s], taus, row)
                 assert np.array_equal(row, groups[s].trace_evaluate_many(taus))
-            assert_traced(ts, taus, ts.trace_evaluate_many(taus))
+            assert np.array_equal(total, ts.trace_evaluate_many(taus))
+            assert_traced(ts, taus, total)
             assert rows[shifts.index(7)][0] == 0.0
 
     def test_empty(self):
-        shifts, rows = TermSum().trace_by_shift(np.linspace(0, 1, 4))
+        total, shifts, rows = TermSum().trace(np.linspace(0, 1, 4))
+        assert np.array_equal(total, np.zeros(4)) and total.dtype == complex
         assert shifts == () and rows.shape == (0, 4) and rows.dtype == complex
 
 
