@@ -10,12 +10,13 @@ adiabatic branch, the one that stays connected to the bare up state as its
 coupling vanishes (:attr:`StageParams.splitting`).  Each stage is one
 unitary W = S R, the dressing S then the frame rotation R, written once as
 a 2x2 matrix of :class:`~polyrabi.terms.TermSum` entries
-(:func:`stage_unitary`).  The interaction is carried as a 3-vector of
-coefficients over the spin basis ``(sigma_z, sigma_+, sigma_-)``; a stage
-conjugates it by W (:func:`build_M`, derived through
-:func:`~polyrabi.terms.sandwich`) and shifts the sigma_z entry by a
-constant.  The undressing matrices of :mod:`polyrabi.propagator` are
-derived from the same W.
+(:func:`stage_unitary`).  The interaction is hermitian, so its sigma_-
+coefficient is the mirror of its sigma_+ one
+(:meth:`~polyrabi.terms.TermSum.conjugate_mirror`) and only the pair over
+``(sigma_z, sigma_+)`` is carried; a stage conjugates it by W
+(:func:`build_M`, derived through :func:`~polyrabi.terms.sandwich`) and
+shifts the sigma_z entry by a constant.  The undressing matrices of
+:mod:`polyrabi.propagator` are derived from the same W.
 
 After ``N-1`` stages the remaining static, resonant part is a plain two-level
 interaction with detuning ``Delta_N`` and coupling ``chi_N`` of the nearest
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .terms import (
-    AMP_DROP_TOL, FREQ_MERGE_TOL, Term, TermSum, TermVector, TermMatrix, dagger, mat_vec, sandwich,
+    AMP_DROP_TOL, FREQ_MERGE_TOL, Term, TermSum, dagger, mat_vec, sandwich,
 )
 
 __all__ = [
@@ -53,7 +54,7 @@ __all__ = [
     "run_cascade",
 ]
 
-_COMPONENT_NAMES = ("sigma_z", "sigma_plus", "sigma_minus")
+_COMPONENT_NAMES = ("sigma_z", "sigma_plus")
 
 
 class DegenerateStageError(ValueError):
@@ -196,7 +197,7 @@ class StageParams:
 
 @dataclass(frozen=True)
 class TruncatedTerm:
-    """One off-resonant term dropped by the final two-level truncation."""
+    """One off-resonant sigma_z or sigma_+ term dropped by the final two-level truncation."""
 
     component: str
     halffreq: float
@@ -207,7 +208,7 @@ class TruncatedTerm:
 
 @dataclass(frozen=True)
 class CascadeResult:
-    """Stages, final interaction vector and the final-truncation inventory.
+    """Stages, final (sigma_z, sigma_+) interaction and the final-truncation inventory.
 
     ``stages`` is the undressing chain: the dressing stages in the order the
     modes were dressed, ``stages[-1]`` the final two-level stage.  A cascade
@@ -220,7 +221,7 @@ class CascadeResult:
 
     config: ModeConfig
     stages: tuple[StageParams, ...]
-    v_final: TermVector
+    v_final: tuple[TermSum, TermSum]
     truncation_report: tuple[TruncatedTerm, ...]
 
 
@@ -234,21 +235,20 @@ def _gap(cfg: ModeConfig, k: int) -> int:
     return _offset(cfg, k + 1) - _offset(cfg, k) if k < cfg.n_modes else 0
 
 
-def stage_zero(cfg: ModeConfig) -> TermVector:
-    """Interaction vector before any dressing, in the first dressed mode's frame.
+def stage_zero(cfg: ModeConfig) -> tuple[TermSum, TermSum]:
+    """Interaction before any dressing, in the first dressed mode's frame.
 
     With ``m_a`` the offset of the first mode dressed (0 unless the comb is
-    dressed out of offset order), the components over (sigma_z, sigma_+,
-    sigma_-) are a constant (delta0 - m_a)/2 and, per mode, the comb-phased
-    couplings ``(omega_k/2) e^{-i (m_k - m_a) tau} b_{j+m_k}`` plus their
-    hermitian mirrors.
+    dressed out of offset order), the (sigma_z, sigma_+) coefficients are a
+    constant (delta0 - m_a)/2 and, per mode, the comb-phased couplings
+    ``(omega_k/2) e^{-i (m_k - m_a) tau} b_{j+m_k}``.
     """
     ma = _offset(cfg, 1)
     vz = TermSum.single(0.5 * (cfg.delta0 - ma))
     plus = TermSum(
         Term(0.5 * om, -2.0 * (mk - ma), cfg.j + mk) for mk, om in zip(cfg.m, cfg.omega)
     )
-    return (vz, plus, plus.conjugate_mirror())
+    return vz, plus
 
 
 def dressing_entries(p: StageParams) -> tuple[float, complex]:
@@ -262,7 +262,7 @@ def dressing_entries(p: StageParams) -> tuple[float, complex]:
     return c, p.chi_norm / (2.0 * c)
 
 
-def stage_unitary(p: StageParams, halffreq: float) -> TermMatrix:
+def stage_unitary(p: StageParams, halffreq: float) -> tuple:
     """Dressing unitary of a stage, then the rotation exp(-i*halffreq*tau*sigma_z/2).
 
     A 2x2 matrix of TermSum entries, rows and columns (up, down)::
@@ -286,28 +286,27 @@ def stage_unitary(p: StageParams, halffreq: float) -> TermMatrix:
     )
 
 
-def build_M(p: StageParams) -> TermMatrix:
+def build_M(p: StageParams) -> tuple:
     """Transfer matrix of one dressing-plus-rotation stage.
 
     The conjugation X -> W^dag X W by the stage unitary W = S R
-    (:func:`stage_unitary` at ``p.dm_next``) on the components
-    (sigma_z, sigma_+, sigma_-); column j holds the image of the j-th.
+    (:func:`stage_unitary` at ``p.dm_next``): column j holds the
+    (sigma_z, sigma_+) components of the image of the j-th of (sigma_z,
+    sigma_+, sigma_-); the image's sigma_- is the mirror of its sigma_+.
     """
     if p.rabi == 0.0:
         raise DegenerateStageError(f"stage {p.k}: zero detuning and zero coupling")
     w = stage_unitary(p, p.dm_next)
-    return sandwich(dagger(w), w, rows=range(1, 4), cols=range(1, 4))
+    return sandwich(dagger(w), w, rows=range(1, 3), cols=range(1, 4))
 
 
-def next_stage(
-    p: StageParams, v_prev: TermVector, cfg: ModeConfig
-) -> tuple[TermVector, StageParams]:
-    """Advance the interaction vector one stage and read off the next coupling.
+def next_stage(p: StageParams, v_prev: tuple, cfg: ModeConfig) -> tuple[tuple, StageParams]:
+    """Advance the (sigma_z, sigma_+) interaction one stage and read off the next coupling.
 
     The new static coupling is twice the amplitude sitting at zero
     half-frequency and ladder shift ``j + m`` of the next mode dressed in the
-    sigma_+ component (the vector carries the conventional factor 1/2).  The
-    next detuning is ``splitting_k - dm_next``.
+    sigma_+ component (the interaction carries the conventional factor 1/2).
+    The next detuning is ``splitting_k - dm_next``.
 
     Each stage scales that term by at least 1/2 (the dressing's c^2), so
     the term of the k-th mode dressed outlives canonicalization whenever its
@@ -318,13 +317,12 @@ def next_stage(
     k_next = p.k + 1
     if k_next > cfg.n_modes:
         raise ValueError("cascade already complete")
-    m = build_M(p)
-    v = mat_vec(m, v_prev)
-    v = (v[0] + TermSum.single(-0.5 * p.dm_next), v[1], v[2])
+    vz, plus = mat_vec(build_M(p), (*v_prev, v_prev[1].conjugate_mirror()))
+    v = (vz + TermSum.single(-0.5 * p.dm_next), plus)
 
     mode = cfg.dressing_order[k_next - 1]
     shift_next = cfg.j + cfg.m[mode]
-    chi_next = 2.0 * v[1].amp_at(0.0, shift_next)
+    chi_next = 2.0 * plus.amp_at(0.0, shift_next)
     if chi_next == 0 and abs(cfg.omega[mode]) > 2.0**k_next * AMP_DROP_TOL:
         raise ChiExtractionError(
             f"stage {k_next}: no static sigma_+ term at ladder shift {shift_next}"
@@ -343,10 +341,11 @@ def run_cascade(cfg: ModeConfig) -> CascadeResult:
     """Run all N-1 dressing stages and report the final truncation.
 
     The returned stages hold everything the propagator needs; ``v_final`` is
-    the full last interaction vector, from which only the static two-level
-    part (constant sigma_z plus the resonant sigma_+- pair at the shift of
-    the last mode dressed) is kept downstream.  Every dropped term is listed
-    with its magnitude relative to ``|chi_N|``.
+    the last (sigma_z, sigma_+) interaction, from which only the static
+    two-level part (constant sigma_z plus the resonant sigma_+ term at the
+    shift of the last mode dressed) is kept downstream.  Every dropped term
+    is listed once with its magnitude relative to ``|chi_N|``; a sigma_+
+    term stands for its sigma_- mirror as well.
     """
     first_mode = cfg.dressing_order[0]
     ma = cfg.m[first_mode]
@@ -368,12 +367,12 @@ def run_cascade(cfg: ModeConfig) -> CascadeResult:
 
     final = stages[-1]
     chi_mag = abs(final.chi)
-    # kept: the constant sigma_z term and the static sigma_+- pair of the final mode
-    comp = np.repeat(np.arange(3), [len(c) for c in v])
+    # kept: the constant sigma_z term and the static sigma_+ term of the final mode
+    comp = np.repeat(np.arange(2), [len(c) for c in v])
     f = np.concatenate([c.halffreq for c in v])
     s = np.concatenate([c.shift for c in v])
     amp = np.concatenate([c.amp for c in v])
-    kept_shift = np.array([0, final.mode_shift, -final.mode_shift])[comp]
+    kept_shift = np.array([0, final.mode_shift])[comp]
     drop = (s != kept_shift) | (np.abs(f) > FREQ_MERGE_TOL)
     dropped = [
         TruncatedTerm(

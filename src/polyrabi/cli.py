@@ -401,6 +401,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _report(error: str, kind: str) -> None:
+    """Write one JSON error record to stderr."""
+    print(json.dumps({"error": error, "kind": kind}), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="polyrabi",
@@ -422,40 +427,31 @@ def main(argv=None) -> int:
         else:
             doc = json.loads(Path(args.config).read_text())
             experiments = (load_experiment(doc),)
-        patched = []
-        for exp in experiments:
-            kw = {}
-            if args.engine:
-                kw["engine"] = args.engine
-            if args.tau is not None:
-                kw["tau"] = _parse_tau(args.tau)
-            if args.window is not None:
-                kw["window"] = _integer(args.window, "window")
-            if kw:
-                exp = replace(exp, **kw)
-            patched.append(exp)
+        overrides = {}
+        if args.engine:
+            overrides["engine"] = args.engine
+        if args.tau is not None:
+            overrides["tau"] = _parse_tau(args.tau)
+        if args.window is not None:
+            overrides["window"] = _integer(args.window, "window")
+        experiments = [replace(exp, **overrides) for exp in experiments]
     except (ConfigError, ValueError, OSError, RecursionError) as exc:
         # a RecursionError is a document nested past the JSON decoder's depth
-        print(json.dumps({"error": str(exc), "kind": "validation"}), file=sys.stderr)
+        _report(str(exc), "validation")
         return 2
 
     all_valid = True
-    for exp in patched:
+    for exp in experiments:
         try:
             result = run(exp, args.out)
         except (ConfigError, ValueError, OSError, MemoryError) as exc:
-            print(json.dumps({"error": str(exc), "kind": "validation"}), file=sys.stderr)
+            _report(str(exc), "validation")
             return 2
         if not result.oracle_valid:
-            print(
-                json.dumps(
-                    {
-                        "error": f"{exp.name}: oracle leakage or norm-defect gate "
-                        "failed; outputs retained but flagged",
-                        "kind": "oracle-validity",
-                    }
-                ),
-                file=sys.stderr,
+            _report(
+                f"{exp.name}: oracle leakage or norm-defect gate failed; outputs retained "
+                "but flagged",
+                "oracle-validity",
             )
             all_valid = False
     return 0 if all_valid else 3

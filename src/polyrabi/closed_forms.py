@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .cascade import ModeConfig
-from .propagator import PeSeries, PropagatorComponents
+from .propagator import PeSeries, PropagatorComponents, _tau_grid
 from .terms import TermSum
 
 __all__ = [
@@ -135,7 +135,7 @@ def weak_field_uge(cfg: ModeConfig, taugrid: np.ndarray) -> np.ndarray:
     smallest gap (1 for a single mode); a resonant lower mode
     (:func:`resonant_lower_mode`) is rejected.
     """
-    taugrid = np.asarray(taugrid, dtype=float)
+    taugrid = _tau_grid(taugrid)
     k = resonant_lower_mode(cfg)
     if k is not None:
         raise ValueError(
@@ -175,7 +175,7 @@ def weak_field_uge(cfg: ModeConfig, taugrid: np.ndarray) -> np.ndarray:
 
 def single_mode_rabi(delta: float, omega: complex, taugrid: np.ndarray) -> PeSeries:
     """Textbook Rabi flopping P_e = (|w|^2/(d^2+|w|^2)) sin^2(sqrt(d^2+|w|^2) tau/2)."""
-    taugrid = np.asarray(taugrid, dtype=float)
+    taugrid = _tau_grid(taugrid)
     r2 = delta * delta + abs(omega) ** 2
     if r2 == 0.0:
         return PeSeries(tau=taugrid, values=np.zeros(taugrid.shape))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import PeSeries, _channel_probs
+from .propagator import PeSeries, _channel_probs, _tau_grid
 from .terms import AMP_DROP_TOL
 
 __all__ = [
@@ -96,7 +96,7 @@ def weighted_pe(source, weights: FieldWeights, taugrid: np.ndarray, channels=Non
     weighting.  One set of shift amplitudes serves every initial level, so
     the weight window is independent of an oracle run's site window.
     """
-    taugrid = np.asarray(taugrid, dtype=float)
+    taugrid = _tau_grid(taugrid)
     shifts, rows = source.shift_rows(taugrid)
     chan = _channel_probs(shifts, rows, channels) if channels else None
     keep = np.max(np.abs(rows), axis=1, initial=0.0) > AMP_DROP_TOL

@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .cascade import ModeConfig, StageParams, DegenerateStageError
-from .propagator import PeSeries, _channel_probs
+from .propagator import PeSeries, _channel_probs, _tau_grid
 
 __all__ = [
     "LEAKAGE_TOL",
@@ -202,7 +202,7 @@ class OracleRun:
 
     def shift_rows(self, taugrid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every shift -R..R and its amplitude on the run's grid: the site rows, reversed."""
-        if not np.array_equal(np.asarray(taugrid, dtype=float), self.tau):
+        if not np.array_equal(_tau_grid(taugrid), self.tau):
             raise ValueError("taugrid must match the oracle run's grid")
         reach = len(self.up_amplitudes) // 2
         return np.arange(-reach, reach + 1), self.up_amplitudes[::-1]
@@ -248,7 +248,7 @@ def evolve(
     with the per-site phase exp(i n tau) removed by the trace convention of
     the analytic series; channel s is site -s, exactly zero past W.
     """
-    taugrid = np.asarray(taugrid, dtype=float)
+    taugrid = _tau_grid(taugrid)
     evals, evecs = np.linalg.eigh(h)
     c0 = evecs[basis.index(0, False), :].conj()
     kept = np.abs(c0) > OVERLAP_CUT
@@ -480,7 +480,7 @@ def floquet_evolve(
     measures the integration error alone.
     """
     _check_halfwidth(cfg, halfwidth)
-    taugrid = np.asarray(taugrid, dtype=float)
+    taugrid = _tau_grid(taugrid)
     eps, coef = _floquet_harmonics(cfg)
     reach = coef.shape[-1] // 2
     sites = np.arange(-2 * reach, 2 * reach + 1)

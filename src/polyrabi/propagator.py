@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import CascadeResult, StageParams, dressing_entries, stage_unitary
-from .terms import TermSum, TermVector, TermMatrix, _cmul, dagger, mat_vec, sandwich
+from .terms import TermSum, _cmul, dagger, mat_vec, sandwich
 
 __all__ = [
     "PropagatorComponents",
@@ -58,7 +58,7 @@ class PropagatorComponents:
     every correctly assembled propagator).
     """
 
-    u: TermVector
+    u: tuple[TermSum, TermSum, TermSum, TermSum]
 
     @property
     def sigma_plus(self) -> TermSum:
@@ -85,6 +85,14 @@ class PeSeries:
     channels: dict[int, np.ndarray] | None = field(default=None)
 
 
+def _tau_grid(taugrid) -> np.ndarray:
+    """``taugrid`` as a float array; a ValueError unless it is one-dimensional."""
+    taugrid = np.asarray(taugrid, dtype=float)
+    if taugrid.ndim != 1:
+        raise ValueError(f"tau grid must be one-dimensional, got shape {taugrid.shape}")
+    return taugrid
+
+
 def _channel_probs(shifts, rows: np.ndarray, channels) -> dict[int, np.ndarray]:
     """|c_s|^2 of each requested shift s in order, c_s its row; exactly zero without a row."""
     row = dict(zip(np.asarray(shifts).tolist(), rows))
@@ -104,7 +112,7 @@ def dressed_propagator(p: StageParams) -> PropagatorComponents:
     return PropagatorComponents(u=tuple(row[0] for row in u))
 
 
-def build_T(p: StageParams) -> TermMatrix:
+def build_T(p: StageParams) -> tuple:
     """Undressing transfer matrix of one stage.
 
     The map U -> W U S^dag on the 4-vector of propagator coefficients, with
@@ -147,10 +155,10 @@ def excitation_probability(
     so P_e(0) == 0.0 and every channel at tau = 0 is 0.0 wherever the
     amplitudes cancel exactly, as undressing leaves them.
     """
-    taugrid = np.asarray(taugrid, dtype=float)
+    taugrid = _tau_grid(taugrid)
     total, shifts, rows = u0.sigma_plus.trace(taugrid)
     chan = _channel_probs(shifts, rows, channels) if channels else None
-    return PeSeries(tau=taugrid, values=np.abs(total.reshape(taugrid.shape)) ** 2, channels=chan)
+    return PeSeries(tau=taugrid, values=np.abs(total) ** 2, channels=chan)
 
 
 def _factored_plus(cr: CascadeResult, taugrid: np.ndarray) -> np.ndarray:
@@ -193,5 +201,5 @@ def factored_pe(cr: CascadeResult, taugrid: np.ndarray) -> PeSeries:
     point.  It gives no channels, since resolving the ladder shifts needs
     the expansion.  P_e(0) == 0.0 exactly.
     """
-    taugrid = np.asarray(taugrid, dtype=float)
+    taugrid = _tau_grid(taugrid)
     return PeSeries(tau=taugrid, values=np.abs(_factored_plus(cr, taugrid)) ** 2)

@@ -51,8 +51,6 @@ __all__ = [
     "FREQ_MERGE_TOL",
     "Term",
     "TermSum",
-    "TermMatrix",
-    "TermVector",
     "mat_vec",
     "dagger",
     "sandwich",
@@ -347,14 +345,16 @@ class TermSum:
     def trace(self, taus: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
         """The traced total, the shifts in ascending order and one row per shift.
 
-        Every displacement is read as unity, on the flattened grid.  Each
+        Every displacement is read as unity, on a one-dimensional grid.  Each
         value is its group's value at tau = 0, the ``math.fsum`` of its
         amplitudes, plus sum_f a_f (exp(i*f*tau/2) - 1) over the distinct
         half-frequencies in ascending order, added point by point, so a
         point's value does not depend on its grid; for the total, a_f sums
         over the shifts.
         """
-        taus = np.asarray(taus, dtype=float).ravel()
+        taus = np.asarray(taus, dtype=float)
+        if taus.ndim != 1:
+            raise ValueError(f"tau grid must be one-dimensional, got shape {taus.shape}")
         freqs, col = np.unique(self.halffreq, return_inverse=True)
         shifts, first, row = np.unique(self.shift, return_index=True, return_inverse=True)
         # the total, then one row per shift: a canonical sum holds at most one
@@ -374,23 +374,11 @@ class TermSum:
         out.real, out.imag = re, im
         return out[0], tuple(shifts.tolist()), out[1:]
 
-    def trace_evaluate_many(self, taus: np.ndarray) -> np.ndarray:
-        """Values sum(amp * exp(i*halffreq*tau/2)) over a time grid, every shift read as unity.
-
-        The total of :meth:`trace`, in the grid's shape: exact at tau = 0,
-        so a sum that cancels there evaluates to exactly zero.
-        """
-        taus = np.asarray(taus, dtype=float)
-        return self.trace(taus)[0].reshape(taus.shape)
-
 
 _ZERO = TermSum()
 
 
 # -- dense containers ----------------------------------------------------------
-
-TermVector = tuple  # tuple[TermSum, ...]
-TermMatrix = tuple  # tuple[tuple[TermSum, ...], ...]
 
 
 def _product_sums(a, b, blocks, n_out: int) -> tuple[TermSum, ...]:
@@ -444,7 +432,7 @@ def _mat_vec_blocks(n_cols: tuple[int, ...]):
     return ia, ib, None, out
 
 
-def mat_vec(m: TermMatrix, v: TermVector) -> TermVector:
+def mat_vec(m: tuple, v: tuple) -> tuple:
     """Matrix-vector product over TermSum entries.
 
     Each output entry is canonicalized once from all of its raw term
@@ -490,14 +478,12 @@ def _sandwich_blocks(rows: tuple[int, ...], cols: tuple[int, ...]):
     )
 
 
-def dagger(a: TermMatrix) -> TermMatrix:
+def dagger(a: tuple) -> tuple:
     """Adjoint of a 2x2 matrix over TermSum entries (transpose and mirror)."""
     return tuple(tuple(a[c][r].conjugate_mirror() for c in range(2)) for r in range(2))
 
 
-def sandwich(
-    a: TermMatrix, b: TermMatrix, rows=range(4), cols=range(4)
-) -> TermMatrix:
+def sandwich(a: tuple, b: tuple, rows=range(4), cols=range(4)) -> tuple:
     """4x4 matrix of the map X -> a.X.b over the basis (1, sigma_z, sigma_+, sigma_-).
 
     ``a`` and ``b`` are 2x2 matrices over TermSum entries, rows and columns

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from polyrabi import ModeConfig, ResonanceOrderWarning, build_hamiltonian, evolve
-from polyrabi.terms import AMP_DROP_TOL, FREQ_MERGE_TOL, Term
+from polyrabi.cascade import StageParams, TruncatedTerm, stage_unitary
+from polyrabi.terms import AMP_DROP_TOL, FREQ_MERGE_TOL, Term, TermSum, dagger, mat_vec, sandwich
 
 # Every property test runs a fixed set of examples with no deadline, so a run
 # repeats exactly and a slow shared host cannot time it out.
@@ -228,3 +229,64 @@ def stage_chain_plus(cr, taus, thetas=(0.0,)):
         w = _stage_matrix(p, final.splitting if p is final else p.dm_next, taus, thetas)
         u = w @ u @ _stage_matrix(p, 0.0, taus, thetas).conj().swapaxes(-1, -2)
     return u[..., 0, 1]
+
+
+# -- the cascade with its sigma_- coefficient carried --------------------------
+
+
+def ref_cascade_chain(cfg):
+    """The cascade's stages, each with its (sigma_z, sigma_+, sigma_-) interaction.
+
+    The recursion with all three coefficients carried and transferred by
+    the 3x3 conjugation W^dag X W, built from the public stage unitary and
+    term algebra alone.  Returns the stages in dressing order, the frame
+    anchor not included, and the interaction before each stage: entry k
+    pairs the (k+1)-th stage dressed with the interaction it dresses.
+    """
+    order = cfg.dressing_order
+    offsets = [cfg.m[k] for k in order]
+    gaps = [b - a for a, b in zip(offsets, offsets[1:])] + [0]
+    ma = offsets[0]
+    vz = TermSum.single(0.5 * (cfg.delta0 - ma))
+    plus = TermSum(Term(0.5 * om, -2.0 * (mk - ma), cfg.j + mk) for mk, om in zip(cfg.m, cfg.omega))
+    v = (vz, plus, plus.conjugate_mirror())
+    p = StageParams(
+        k=1, detuning=cfg.delta0 - ma, chi=cfg.omega[order[0]], mode_shift=cfg.j + ma,
+        dm_next=gaps[0],
+    )
+    chain = [(p, v)]
+    for k in range(1, cfg.n_modes):
+        w = stage_unitary(p, p.dm_next)
+        v = mat_vec(sandwich(dagger(w), w, rows=range(1, 4), cols=range(1, 4)), v)
+        v = (v[0] + TermSum.single(-0.5 * p.dm_next), v[1], v[2])
+        shift = cfg.j + offsets[k]
+        p = StageParams(
+            k=k + 1, detuning=p.splitting - p.dm_next, chi=2.0 * v[1].amp_at(0.0, shift),
+            mode_shift=shift, dm_next=gaps[k],
+        )
+        chain.append((p, v))
+    return chain
+
+
+def ref_truncation_report(final, v):
+    """Every term of the final interaction ``v`` but the static two-level part, all three components.
+
+    Kept are the constant sigma_z term and the static terms at the final
+    mode's shift in sigma_+ and at its negative in sigma_-; the others are
+    listed component by component in canonical order.
+    """
+    names = ("sigma_z", "sigma_plus", "sigma_minus")
+    kept = (0, final.mode_shift, -final.mode_shift)
+    chi = abs(final.chi)
+    return [
+        TruncatedTerm(
+            component=name,
+            halffreq=t.halffreq,
+            shift=t.shift,
+            magnitude=float(np.hypot(t.amp.real, t.amp.imag)),
+            relative=float(np.hypot(t.amp.real, t.amp.imag)) / chi if chi else math.inf,
+        )
+        for name, keep, comp in zip(names, kept, v)
+        for t in comp
+        if t.shift != keep or abs(t.halffreq) > FREQ_MERGE_TOL
+    ]

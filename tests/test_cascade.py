@@ -1,8 +1,10 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from polyrabi import cascade
 from polyrabi.cascade import (
@@ -17,10 +19,11 @@ from polyrabi.cascade import (
     next_stage,
     run_cascade,
 )
+from polyrabi.cli import PRESETS, preset_experiments
 from polyrabi.propagator import excitation_probability, undress
 from polyrabi.terms import Term, TermSum, dagger, mat_vec, sandwich
 
-from conftest import termwise_dev
+from conftest import combs, ref_cascade_chain, ref_truncation_report, termwise_dev
 
 SQ125 = math.sqrt(1.25)
 
@@ -182,9 +185,10 @@ class TestStageZero:
     def test_single_mode(self):
         cfg = ModeConfig(j=3, m=(0,), omega=(0.5,), delta0=1.0)
         v = stage_zero(cfg)
+        assert len(v) == 2
         assert v[0] == TermSum.single(0.5)
         assert v[1] == TermSum.single(0.25, 0.0, 3)
-        assert v[2] == TermSum.single(0.25, 0.0, -3)
+        assert v[1].conjugate_mirror() == TermSum.single(0.25, 0.0, -3)
 
     def test_fig1_sigma_plus(self):
         v = stage_zero(fig1())
@@ -195,20 +199,20 @@ class TestStageZero:
         v = stage_zero(cfg)
         assert v[1] == TermSum()
 
-    def test_hermitian_mirror(self):
-        v = stage_zero(fig1())
-        assert v[2] == v[1].conjugate_mirror()
-
 
 class TestBuildM:
     def test_no_coupling_is_frame_rotation(self):
         p = StageParams(k=1, detuning=0.7, chi=0.0, mode_shift=1, dm_next=2)
         m = build_M(p)
+        assert [len(row) for row in m] == [3, 3]
         assert m[0][0] == TermSum.single(1.0)
         assert m[1][1] == TermSum.single(1.0, 4.0, 0)
-        assert m[2][2] == TermSum.single(1.0, -4.0, 0)
-        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2)):
             assert m[i][j].max_abs_amp() == 0.0
+        # the unbuilt sigma_- row is the mirror of the sigma_+ row
+        w = stage_unitary(p, p.dm_next)
+        minus_row = sandwich(dagger(w), w, rows=(3,), cols=(3,))[0][0]
+        assert minus_row == m[1][1].conjugate_mirror() == TermSum.single(1.0, -4.0, 0)
 
     def test_fig1_stage1_entries(self):
         p = StageParams(k=1, detuning=1.0, chi=0.5, mode_shift=1, dm_next=2)
@@ -231,6 +235,7 @@ class TestNextStage:
         v0 = stage_zero(cfg)
         p1 = StageParams(k=1, detuning=1.0, chi=0.5, mode_shift=1, dm_next=2)
         v1, p2 = next_stage(p1, v0, cfg)
+        assert len(v1) == 2
         assert p2.detuning == pytest.approx(SQ125 - 2.0)
         assert p2.chi == pytest.approx(0.5 * 0.5 * (1 + SQ125) / SQ125)
         assert p2.rabi == pytest.approx(1.0010831353466154)
@@ -257,9 +262,9 @@ class TestNextStage:
     def test_missing_term_of_resolvable_coupling_raises(self, monkeypatch):
         # a coupling canonicalization keeps must leave its static term behind
         def losing(m, v):
-            vz, plus, minus = mat_vec(m, v)
+            vz, plus = mat_vec(m, v)
             plus = TermSum(t for t in plus if not (t.shift == 2 and abs(t.halffreq) <= 1e-12))
-            return vz, plus, minus
+            return vz, plus
 
         monkeypatch.setattr(cascade, "mat_vec", losing)
         with pytest.raises(ChiExtractionError, match="ladder shift 2"):
@@ -350,3 +355,53 @@ class TestRunCascade:
         chi = abs(cr.stages[-1].chi)
         for entry in cr.truncation_report:
             assert entry.relative == pytest.approx(entry.magnitude / chi)
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", ResonanceOrderWarning)  # fig3a's 6/7 detuning
+    PRESET_EXPERIMENTS = [exp for name in PRESETS for exp in preset_experiments(name)]
+
+
+class TestThreeComponentReference:
+    """The (sigma_z, sigma_+) cascade against the recursion that carries sigma_- too."""
+
+    @staticmethod
+    def check(cfg):
+        chain = ref_cascade_chain(cfg)
+        # every reference sigma_- is the mirror of its sigma_+
+        for _, (_, plus, minus) in chain:
+            assert minus == plus.conjugate_mirror()
+        # stage by stage, bit for bit
+        p, v = chain[0][0], stage_zero(cfg)
+        assert v == chain[0][1][:2]
+        for p_ref, v_ref in chain[1:]:
+            v, p = next_stage(p, v, cfg)
+            assert p == p_ref
+            assert v == v_ref[:2]
+        cr = run_cascade(cfg)
+        assert cr.stages[-len(chain) :] == tuple(q for q, _ in chain)
+        assert cr.v_final == chain[-1][1][:2]
+        # the report lists sigma_z and sigma_+ once; each dropped sigma_- mirrors a sigma_+
+        ref = ref_truncation_report(*chain[-1])
+        assert list(cr.truncation_report) == [e for e in ref if e.component != "sigma_minus"]
+        mirrored = Counter(
+            (-e.halffreq, -e.shift, e.magnitude, e.relative)
+            for e in ref
+            if e.component == "sigma_minus"
+        )
+        plus = Counter(
+            (e.halffreq, e.shift, e.magnitude, e.relative)
+            for e in ref
+            if e.component == "sigma_plus"
+        )
+        assert mirrored == plus
+
+    @pytest.mark.parametrize("exp", PRESET_EXPERIMENTS, ids=lambda e: e.name)
+    def test_presets(self, exp):
+        self.check(exp.config)
+
+    @settings(max_examples=150)
+    @given(combs(max_modes=8))
+    def test_combs(self, cfg):
+        # complex couplings, j <= 0 and out-of-order dressing included
+        self.check(cfg)

@@ -37,7 +37,7 @@ class TestTwoModeU0:
 
     def test_identity_at_zero(self):
         u = two_mode_u0(ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0))
-        vals = [c.trace_evaluate_many(np.array([0.0]))[0] for c in u.u]
+        vals = [c.trace(np.array([0.0]))[0][0] for c in u.u]
         assert vals[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(vals[2]) < 1e-12
 

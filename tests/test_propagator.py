@@ -9,6 +9,9 @@ from hypothesis import given, settings
 
 from polyrabi.cascade import ModeConfig, ResonanceOrderWarning, StageParams, run_cascade
 from polyrabi.cli import PRESETS, preset_experiments
+from polyrabi.closed_forms import single_mode_rabi, weak_field_uge
+from polyrabi.field_state import gamma_weights, weighted_pe
+from polyrabi.oracle import build_hamiltonian, evolve, floquet_evolve
 from polyrabi.propagator import (
     _factored_plus,
     build_T,
@@ -46,8 +49,8 @@ class TestDressedPropagator:
         p = StageParams(k=1, detuning=-0.8, chi=0.0, mode_shift=2, dm_next=0)
         u = dressed_propagator(p)
         taus = np.linspace(0, 5, 7)
-        ident = u.u[0].trace_evaluate_many(taus)
-        sz = u.u[1].trace_evaluate_many(taus)
+        ident = u.u[0].trace(taus)[0]
+        sz = u.u[1].trace(taus)[0]
         assert np.allclose(ident, np.cos(0.5 * 0.8 * taus))
         assert np.allclose(sz, -1j * np.sign(-0.8) * np.sin(0.5 * 0.8 * taus))
         assert u.u[2].max_abs_amp() == 0.0
@@ -56,7 +59,7 @@ class TestDressedPropagator:
     def test_identity_at_zero(self):
         p = fig1_stages()[-1]
         u = dressed_propagator(p)
-        vals = [c.trace_evaluate_many(np.array([0.0]))[0] for c in u.u]
+        vals = [c.trace(np.array([0.0]))[0][0] for c in u.u]
         assert vals[0] == pytest.approx(1.0)
         assert vals[1] == 0.0
         assert vals[2] == 0.0
@@ -129,7 +132,7 @@ class TestUndress:
 
     def test_identity_at_zero(self):
         cr = run_cascade(ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0))
-        vals = [c.trace_evaluate_many(np.array([0.0]))[0] for c in undress(cr).u]
+        vals = [c.trace(np.array([0.0]))[0][0] for c in undress(cr).u]
         assert vals[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(vals[1]) < 1e-12
         assert abs(vals[2]) < 1e-12
@@ -172,7 +175,7 @@ class TestUndress:
         # the 2x2 stage chain, multiplied out per tau, checks the term algebra
         # to roundoff rather than to the truncation error
         cr = run_cascade(cfg)
-        got = undress(cr).sigma_plus.trace_evaluate_many(CHAIN_TAUS)
+        got = undress(cr).sigma_plus.trace(CHAIN_TAUS)[0]
         assert np.max(np.abs(got - stage_chain_plus(cr, CHAIN_TAUS)[0])) <= 1e-12
 
     @settings(max_examples=40)
@@ -229,7 +232,7 @@ class TestExcitationProbability:
         groups = u0.sigma_plus.by_shift()
         pe = excitation_probability(u0, taus, channels=sorted(groups))
         # per-shift amplitudes must recombine coherently into the total
-        amps = {s: g.trace_evaluate_many(taus) for s, g in groups.items()}
+        amps = {s: g.trace(taus)[0] for s, g in groups.items()}
         total = sum(amps.values())
         assert np.allclose(np.abs(total) ** 2, pe.values, atol=1e-14)
         for s, a in amps.items():
@@ -252,7 +255,7 @@ class TestExcitationProbability:
         taus = np.linspace(0, 4 * math.pi, 257)
         groups = plus.by_shift()
         pe = excitation_probability(u0, taus, channels=[*groups, 99])
-        total = plus.trace_evaluate_many(taus)
+        total = plus.trace(taus)[0]
         assert_traced(plus, taus, total)
         assert np.array_equal(bits(pe.values), bits(np.abs(total) ** 2))
         assert pe.values[0] == 0.0
@@ -361,3 +364,31 @@ class TestCopying:
         assert bits(again.amp).tolist() == bits(u0.sigma_plus.amp).tolist()
         assert again.halffreq.tolist() == u0.sigma_plus.halffreq.tolist()
         assert again.shift.tolist() == u0.sigma_plus.shift.tolist()
+
+
+GRID_4X5 = np.linspace(0.0, 1.0, 20).reshape(4, 5)
+FIG1 = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1.0)
+
+
+# every public reader of a tau grid, called on a 4x5 grid
+GRID_READERS = {
+    "TermSum.trace": lambda g: undress(run_cascade(FIG1)).sigma_plus.trace(g),
+    "shift_rows": lambda g: undress(run_cascade(FIG1)).shift_rows(g),
+    "excitation_probability": lambda g: excitation_probability(
+        undress(run_cascade(FIG1)), g, channels=[1, 3, -1]
+    ),
+    "factored_pe": lambda g: factored_pe(run_cascade(FIG1), g),
+    "weighted_pe": lambda g: weighted_pe(undress(run_cascade(FIG1)), gamma_weights([3.0], 30), g),
+    "weak_field_uge": lambda g: weak_field_uge(FIG1, g),
+    "single_mode_rabi": lambda g: single_mode_rabi(1.0, 0.5, g),
+    "evolve": lambda g: evolve(*build_hamiltonian(FIG1, 40), g),
+    "floquet_evolve": lambda g: floquet_evolve(FIG1, 40, g),
+    "OracleRun.shift_rows": lambda g: floquet_evolve(FIG1, 40, g[0]).shift_rows(g),
+}
+
+
+class TestTauGridContract:
+    @pytest.mark.parametrize("reader", GRID_READERS.values(), ids=GRID_READERS.keys())
+    def test_two_dimensional_grid_rejected(self, reader):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            reader(GRID_4X5)
