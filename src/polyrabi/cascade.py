@@ -21,7 +21,7 @@ shifts the sigma_z entry by a constant.  The undressing matrices of
 After ``N-1`` stages the remaining static, resonant part is a plain two-level
 interaction with detuning ``Delta_N`` and coupling ``chi_N`` of the nearest
 mode; everything else is off-resonant and is reported (not silently
-discarded) by :func:`run_cascade`.
+discarded) by :attr:`CascadeResult.truncation_report`.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ class TruncatedTerm:
 
 @dataclass(frozen=True)
 class CascadeResult:
-    """Stages, final (sigma_z, sigma_+) interaction and the final-truncation inventory.
+    """Stages and final (sigma_z, sigma_+) interaction; the final-truncation inventory on read.
 
     ``stages`` is the undressing chain: the dressing stages in the order the
     modes were dressed, ``stages[-1]`` the final two-level stage.  A cascade
@@ -222,7 +222,39 @@ class CascadeResult:
     config: ModeConfig
     stages: tuple[StageParams, ...]
     v_final: tuple[TermSum, TermSum]
-    truncation_report: tuple[TruncatedTerm, ...]
+
+    @cached_property
+    def truncation_report(self) -> tuple[TruncatedTerm, ...]:
+        """Every term of ``v_final`` the final two-level truncation drops, built on first read.
+
+        All but the constant sigma_z term and the static sigma_+ term at the
+        final mode's shift, each once, with its magnitude relative to
+        ``|chi_N|``; a sigma_+ term stands for its sigma_- mirror as well.
+        """
+        final = self.stages[-1]
+        chi_mag = abs(final.chi)
+        v = self.v_final
+        comp = np.repeat(np.arange(2), [len(c) for c in v])
+        f = np.concatenate([c.halffreq for c in v])
+        s = np.concatenate([c.shift for c in v])
+        amp = np.concatenate([c.amp for c in v])
+        kept_shift = np.array([0, final.mode_shift])[comp]
+        drop = (s != kept_shift) | (np.abs(f) > FREQ_MERGE_TOL)
+        return tuple(
+            TruncatedTerm(
+                component=_COMPONENT_NAMES[idx],
+                halffreq=hf,
+                shift=sh,
+                magnitude=mag,
+                relative=mag / chi_mag if chi_mag else math.inf,
+            )
+            for idx, hf, sh, mag in zip(
+                comp[drop].tolist(),
+                f[drop].tolist(),
+                s[drop].tolist(),
+                np.hypot(amp.real, amp.imag)[drop].tolist(),
+            )
+        )
 
 
 def _offset(cfg: ModeConfig, k: int) -> int:
@@ -338,14 +370,13 @@ def next_stage(p: StageParams, v_prev: tuple, cfg: ModeConfig) -> tuple[tuple, S
 
 
 def run_cascade(cfg: ModeConfig) -> CascadeResult:
-    """Run all N-1 dressing stages and report the final truncation.
+    """Run all N-1 dressing stages.
 
     The returned stages hold everything the propagator needs; ``v_final`` is
     the last (sigma_z, sigma_+) interaction, from which only the static
     two-level part (constant sigma_z plus the resonant sigma_+ term at the
-    shift of the last mode dressed) is kept downstream.  Every dropped term
-    is listed once with its magnitude relative to ``|chi_N|``; a sigma_+
-    term stands for its sigma_- mirror as well.
+    shift of the last mode dressed) is kept downstream.  The terms it drops
+    are listed by :attr:`CascadeResult.truncation_report` when it is read.
     """
     first_mode = cfg.dressing_order[0]
     ma = cfg.m[first_mode]
@@ -364,34 +395,4 @@ def run_cascade(cfg: ModeConfig) -> CascadeResult:
     if ma:
         anchor = StageParams(k=0, detuning=cfg.delta0, chi=0j, mode_shift=cfg.j, dm_next=ma)
         stages.insert(0, anchor)
-
-    final = stages[-1]
-    chi_mag = abs(final.chi)
-    # kept: the constant sigma_z term and the static sigma_+ term of the final mode
-    comp = np.repeat(np.arange(2), [len(c) for c in v])
-    f = np.concatenate([c.halffreq for c in v])
-    s = np.concatenate([c.shift for c in v])
-    amp = np.concatenate([c.amp for c in v])
-    kept_shift = np.array([0, final.mode_shift])[comp]
-    drop = (s != kept_shift) | (np.abs(f) > FREQ_MERGE_TOL)
-    dropped = [
-        TruncatedTerm(
-            component=_COMPONENT_NAMES[idx],
-            halffreq=hf,
-            shift=sh,
-            magnitude=mag,
-            relative=mag / chi_mag if chi_mag else math.inf,
-        )
-        for idx, hf, sh, mag in zip(
-            comp[drop].tolist(),
-            f[drop].tolist(),
-            s[drop].tolist(),
-            np.hypot(amp.real, amp.imag)[drop].tolist(),
-        )
-    ]
-    return CascadeResult(
-        config=cfg,
-        stages=tuple(stages),
-        v_final=v,
-        truncation_report=tuple(dropped),
-    )
+    return CascadeResult(config=cfg, stages=tuple(stages), v_final=v)

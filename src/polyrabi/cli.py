@@ -260,37 +260,29 @@ def experiment_to_dict(exp: Experiment) -> dict:
 # -- series IO ------------------------------------------------------------------
 
 
-def _csv_tokens(column) -> list[str]:
-    """Each value of a column as the ``repr`` of its float (see ``write_series_csv``)."""
-    x = np.ascontiguousarray(column, dtype=float)
-    if not x.size:
-        return []
-    tokens = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    mag = np.abs(x)
-    shared = (x == 0.0) | ((mag >= 1e-4) & (mag < 1e16))
-    for i in np.flatnonzero(~shared).tolist():
-        tokens[i] = repr(float(x[i]))
-    return tokens
-
-
 def write_series_csv(path: Path, series: PeSeries) -> None:
     """Write a series as CSV, every value as the ``repr`` of its float, byte for byte.
 
-    The channel columns follow the order of ``series.channels``.  Each
-    column is formatted in one C call by orjson, which writes the shortest
-    string that reads back to the same double, the digits ``repr`` writes.
-    The two share a layout for zero and for 1e-4 <= |x| < 1e16.  Outside
-    that range they do not: orjson writes ``0.000015``, ``1.5e-7``, ``1e16``
-    and ``null`` where ``repr`` writes ``1.5e-05``, ``1.5e-07``, ``1e+16``
-    and ``nan`` or ``inf``.  So those values, and only those, go through
-    ``repr``.
+    Channel columns follow ``series.channels``.  One orjson dump writes the
+    values in row-major order, each as the shortest string that reads back
+    to the same double, as ``repr`` does; each row's last comma becomes a
+    newline.  The layouts differ outside zero and 1e-4 <= |x| < 1e16
+    (``1.5e-7``, ``1e16`` against ``1.5e-07``, ``1e+16``), so those values
+    and the non-finite ones go to orjson as NaN, written ``null`` as no
+    finite value is, and their ``repr`` fills each ``null`` in order.
     """
     cols = list(series.channels or ())
     columns = [series.tau, series.values, *(series.channels[s] for s in cols)]
-    text = [_csv_tokens(c) for c in columns]
+    table = np.column_stack(columns).astype(float)
+    mag = np.abs(table)
+    odd = ~((mag == 0.0) | ((mag >= 1e-4) & (mag < 1e16)))
+    flat = orjson.dumps(np.where(odd, np.nan, table).ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = np.frombuffer(flat[1:-1] + b"," if table.size else b"", np.uint8).copy()
+    text[np.flatnonzero(text == ord(","))[len(columns) - 1 :: len(columns)]] = ord("\n")
+    pieces = text.tobytes().decode().split("null")
+    fills = [repr(x) for x in table[odd].tolist()] + [""]
     header = "tau,pe" + "".join(f",channel_{s}" for s in cols)
-    with open(path, "w") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*text)), ""]))
+    Path(path).write_text("".join([header, "\n", *(p + f for p, f in zip(pieces, fills))]))
 
 
 def read_series_csv(path: Path) -> PeSeries:

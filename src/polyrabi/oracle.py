@@ -473,11 +473,12 @@ def floquet_evolve(
     amplitude sum_n G_n is sum_a exp(-i eps_a tau) conj(phi_{a,down}(0))
     sum_m exp(i m tau) c_{up,a,m}; channel s is the one row n = -s; the norm
     comes by Parseval (:func:`_norm_weights`); and only the rows of both
-    spins past 0.9 W are built, for the leakage gate, in a product of their
-    own.  The up rows of every site are built from the same harmonics when
-    ``up_amplitudes`` is first read.  The solution is never cut:
-    ``halfwidth`` W only bounds the leakage gate, and the norm defect
-    measures the integration error alone.
+    spins past 0.9 W are built, for the leakage gate.  The P_e amplitude,
+    the channels and those rows are row slices of one weight matrix, read
+    by one product per block of tau.  The up rows of every site are built
+    from the same harmonics when ``up_amplitudes`` is first read.  The
+    solution is never cut: ``halfwidth`` W only bounds the leakage gate,
+    and the norm defect measures the integration error alone.
     """
     _check_halfwidth(cfg, halfwidth)
     taugrid = _tau_grid(taugrid)
@@ -486,30 +487,29 @@ def floquet_evolve(
     sites = np.arange(-2 * reach, 2 * reach + 1)
     edge = sites[np.abs(sites) > 0.9 * halfwidth]
     shifts = [] if channels is None else [int(s) for s in channels]
-    # ((mode, column), m) weights of exp(i m tau), each read by its own product
-    total_w = coef[0] * coef[1].sum(axis=1, keepdims=True).conj()
-    chan_w = _site_weights(coef, [0], [-s for s in shifts])
-    edge_w = _site_weights(coef, [0, 1], edge)
+    # ((mode, row), m) weights of exp(i m tau): the P_e amplitude, the channels, the edge rows
+    reads = [
+        coef[0] * coef[1].sum(axis=1, keepdims=True).conj(),
+        _site_weights(coef, [0], [-s for s in shifts]),
+        _site_weights(coef, [0, 1], edge),
+    ]
+    width = coef.shape[-1]
+    weights = np.concatenate([w.reshape(2, -1, width) for w in reads], axis=1).reshape(-1, width)
     norm_w = _norm_weights(coef)
 
-    total = np.empty(len(taugrid), dtype=complex)
-    chans = np.empty((len(shifts), len(taugrid)), dtype=complex)
+    amps = np.empty((len(weights) // 2, len(taugrid)), dtype=complex)
     norm = np.empty(len(taugrid))
-    edge_pop = np.empty(len(taugrid))
     for part, phase, turn in _phase_blocks(taugrid, eps, 2 * reach):
-        near = phase[reach : 3 * reach + 1]
-        total[part] = _mode_sum(near, turn, total_w)[0]
-        chans[:, part] = _mode_sum(near, turn, chan_w)
-        rows = _mode_sum(near, turn, edge_w)
-        edge_pop[part] = np.sum(rows.real**2 + rows.imag**2, axis=0)
+        amps[:, part] = _mode_sum(phase[reach : 3 * reach + 1], turn, weights)
         gram = (norm_w @ phase).reshape(2, 2, -1)
         norm[part] = np.einsum("at,bt,abt->t", turn, turn.conj(), gram).real
+    total, chans, rows = amps[0], amps[1 : 1 + len(shifts)], amps[1 + len(shifts) :]
     return _oracle_run(
         taugrid,
         total,
         None if channels is None else dict(zip(shifts, np.abs(chans) ** 2)),
         norm,
-        edge_pop,
+        np.sum(rows.real**2 + rows.imag**2, axis=0),
         partial(_site_rows, eps, coef, taugrid),
     )
 

@@ -65,6 +65,12 @@ class PropagatorComponents:
         return self.u[2]
 
     def hermiticity_defect(self) -> float:
+        """Largest amplitude of the canonical sum ``u[3] + mirror(u[2])``.
+
+        Its resolution is the term algebra's: half-frequencies within
+        ``FREQ_MERGE_TOL`` merge and amplitudes at or below ``AMP_DROP_TOL``
+        drop, so a sigma_- half-frequency 4e-16 off its mirror reads 0.0.
+        """
         return (self.u[3] + self.u[2].conjugate_mirror()).max_abs_amp()
 
     def shift_rows(self, taugrid: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from collections import Counter
@@ -6,20 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from polyrabi import cascade
+from polyrabi import cascade, cli
 from polyrabi.cascade import (
     ModeConfig,
     StageParams,
     ChiExtractionError,
     DegenerateStageError,
     ResonanceOrderWarning,
+    TruncatedTerm,
     stage_zero,
     stage_unitary,
     build_M,
     next_stage,
     run_cascade,
 )
-from polyrabi.cli import PRESETS, preset_experiments
+from polyrabi.cli import PRESETS, Experiment, preset_experiments
 from polyrabi.propagator import excitation_probability, undress
 from polyrabi.terms import Term, TermSum, dagger, mat_vec, sandwich
 
@@ -288,6 +290,11 @@ class TestNextStage:
             v, p = next_stage(p, v, cfg)
             assert v[0].amp_at(0.0, 0) == pytest.approx(0.5 * p.detuning, abs=1e-12)
 
+    def test_final_stage_has_no_next(self):
+        cr = run_cascade(fig1())
+        with pytest.raises(ValueError, match="cascade already complete"):
+            next_stage(cr.stages[-1], cr.v_final, fig1())
+
 
 class TestRunCascade:
     def test_single_mode_no_iterations(self):
@@ -405,3 +412,52 @@ class TestThreeComponentReference:
     def test_combs(self, cfg):
         # complex couplings, j <= 0 and out-of-order dressing included
         self.check(cfg)
+
+
+class TestLazyTruncationReport:
+    """The truncation report is built on its first read, and by no run that does not read it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The list of every TruncatedTerm the cascade module constructs from here on."""
+        made = []
+
+        def counting(**fields):
+            made.append(TruncatedTerm(**fields))
+            return made[-1]
+
+        monkeypatch.setattr(cascade, "TruncatedTerm", counting)
+        return made
+
+    def test_cli_runs_build_none(self, built, tmp_path):
+        # fig3b runs the factored chain; a Gaussian-weighted comb undresses the terms
+        fig3b = next(e for e in PRESET_EXPERIMENTS if e.name == "fig3b")
+        cfg = ModeConfig(
+            j=1,
+            m=(0, 1, 2),
+            omega=(cmath.rect(0.12, 1.0), cmath.rect(0.08, 2.5), cmath.rect(0.15, -0.7)),
+            delta0=2.2,
+        )
+        scan = Experiment(
+            name="scan",
+            config=cfg,
+            engine="cascade",
+            tau=(0.0, 4.0 * math.pi, 100),
+            weights=(cmath.rect(2.0, 0.3), cmath.rect(1.5, 2.0), cmath.rect(3.0, -1.0)),
+            channels=cfg.mode_shifts,
+        )
+        for exp in (fig3b, scan):
+            cli.run(exp, tmp_path)
+        assert built == []
+        # both runs drop terms, so a report built eagerly would have shown
+        assert all(run_cascade(exp.config).truncation_report for exp in (fig3b, scan))
+
+    @pytest.mark.parametrize("exp", PRESET_EXPERIMENTS, ids=lambda e: e.name)
+    def test_first_read_builds_the_report(self, built, exp):
+        cr = run_cascade(exp.config)
+        assert built == []
+        report = cr.truncation_report
+        ref = ref_truncation_report(*ref_cascade_chain(exp.config)[-1])
+        assert list(report) == [e for e in ref if e.component != "sigma_minus"]
+        assert list(report) == built
+        assert cr.truncation_report is report

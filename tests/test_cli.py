@@ -335,6 +335,12 @@ class TestSeriesCsv:
         got, want = writer_and_reference(tmp_path, series)
         assert got == want
 
+    def test_reader_rejects_other_files(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("time,value\n0.0,0.0\n")
+        with pytest.raises(ConfigError, match="not a series file"):
+            read_series_csv(path)
+
     def test_empty_series(self, tmp_path):
         got, want = writer_and_reference(tmp_path, column_series([]))
         assert got == want == b"tau,pe,channel_2,channel_-1\n"
@@ -401,7 +407,9 @@ class TestMain:
         out.mkdir()
         code = main([*argv, "--out", str(out)])
         assert code == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        err = json.loads(stderr.strip().splitlines()[-1])
         assert err["kind"] == "validation"
         assert list(out.iterdir()) == []
         return err
@@ -648,6 +656,32 @@ class TestMain:
     def test_argument_error_rejected_before_output(self, tmp_path, capsys, argv, phrase):
         # main returns 2 with the JSON error instead of raising SystemExit
         err = self._rejected_before_output(tmp_path, capsys, argv)
+        assert phrase in err["error"]
+
+    @pytest.mark.parametrize(
+        "overrides, argv, phrase",
+        [
+            ({"engine": "zzz"}, [], "unknown engine 'zzz'"),
+            (
+                {"engine": "weak_field", "weights": {"kind": "gaussian", "alpha": [[3.0, 0.0]]}},
+                [],
+                "not defined for the weak_field engine",
+            ),
+            ({"config": {**FIG1_CONFIG, "omega": [[1, 2, 3], 0.5]}}, [], "[re, im] pair"),
+            ({"weights": {"kind": "poisson"}}, [], "unknown weights kind 'poisson'"),
+            ({}, ["--tau", "0:1"], "bad tau spec"),
+            ({}, ["--tau", "a:b:c"], "bad tau spec"),
+        ],
+        ids=[
+            "unknown_engine", "weighted_weak_field", "coupling_triple", "unknown_weights",
+            "tau_two_fields", "tau_not_numbers",
+        ],
+    )
+    def test_inconsistent_request_rejected_before_output(
+        self, tmp_path, capsys, overrides, argv, phrase
+    ):
+        cfg_path = self._fig1_doc(tmp_path, **overrides)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path), *argv])
         assert phrase in err["error"]
 
     @pytest.mark.parametrize("bad", [True, "3.5", None], ids=["bool", "string", "null"])

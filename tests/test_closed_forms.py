@@ -24,6 +24,11 @@ class TestSingleModeRabi:
         pe = single_mode_rabi(1.0, 0.0, np.linspace(0, 10, 11))
         assert np.all(pe.values == 0.0)
 
+    def test_no_drive_at_resonance(self):
+        # zero detuning and zero coupling: no Rabi frequency to divide by
+        pe = single_mode_rabi(0.0, 0.0, np.linspace(0, 10, 11))
+        assert np.all(pe.values == 0.0)
+
     def test_detuned_value(self):
         pe = single_mode_rabi(1.0, 0.5, np.array([math.pi]))
         expect = (0.25 / 1.25) * math.sin(0.5 * math.sqrt(1.25) * math.pi) ** 2

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyrabi import oracle
-from polyrabi.cascade import ModeConfig, ResonanceOrderWarning, StageParams, run_cascade
+from polyrabi.cascade import (
+    DegenerateStageError,
+    ModeConfig,
+    ResonanceOrderWarning,
+    StageParams,
+    run_cascade,
+)
 from polyrabi.cli import PRESETS, preset_experiments
 from polyrabi.oracle import (
     LEAKAGE_TOL,
@@ -166,6 +172,10 @@ class TestBasis:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             TruncatedBasis(5).index(6, True)
+
+    def test_nonpositive_halfwidth_rejected(self):
+        with pytest.raises(ValueError, match="halfwidth must be positive"):
+            TruncatedBasis(0)
 
 
 class TestBuildHamiltonian:
@@ -506,6 +516,17 @@ class TestVerifySk:
             rep = verify_Sk(p, 30)
             assert rep.unitarity_defect <= 1e-10
             assert rep.diag_residual <= 1e-10
+
+    def test_zero_rabi_rejected(self):
+        p = StageParams(k=1, detuning=0.0, chi=0.0, mode_shift=1, dm_next=1)
+        with pytest.raises(DegenerateStageError):
+            verify_Sk(p, 20)
+
+    def test_lattice_without_interior_rejected(self):
+        # rows within 2|s| = 6 of the edge are excluded, so halfwidth 5 leaves none
+        p = StageParams(k=1, detuning=1.0, chi=0.5, mode_shift=3, dm_next=1)
+        with pytest.raises(BasisSizeError, match="interior"):
+            verify_Sk(p, 5)
 
 
 class TestCompare:
