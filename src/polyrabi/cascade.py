@@ -10,13 +10,15 @@ adiabatic branch, the one that stays connected to the bare up state as its
 coupling vanishes (:attr:`StageParams.splitting`).  Each stage is one
 unitary W = S R, the dressing S then the frame rotation R, written once as
 a 2x2 matrix of :class:`~polyrabi.terms.TermSum` entries
-(:func:`stage_unitary`).  The interaction is hermitian, so its sigma_-
-coefficient is the mirror of its sigma_+ one
-(:meth:`~polyrabi.terms.TermSum.conjugate_mirror`) and only the pair over
-``(sigma_z, sigma_+)`` is carried; a stage conjugates it by W
-(:func:`build_M`, derived through :func:`~polyrabi.terms.sandwich`) and
-shifts the sigma_z entry by a constant.  The undressing matrices of
-:mod:`polyrabi.propagator` are derived from the same W.
+(:func:`stage_unitary`).  The interaction is traceless and hermitian, so of
+its four entries only the pair ``(sigma_z, sigma_+)``, its up-up and
+up-down entries, is carried: the down-down entry is the negated sigma_z
+and the down-up entry, sigma_-, the mirror of sigma_+
+(:meth:`~polyrabi.terms.TermSum.conjugate_mirror`).  A stage conjugates
+the interaction by W (:func:`build_M`, two rows of
+:func:`~polyrabi.terms.sandwich`) and shifts the sigma_z entry by a
+constant.  The undressing matrices of :mod:`polyrabi.propagator` are
+derived from the same W.
 
 After ``N-1`` stages the remaining static, resonant part is a plain two-level
 interaction with detuning ``Delta_N`` and coupling ``chi_N`` of the nearest
@@ -82,10 +84,13 @@ class ModeConfig:
     ``(j + m[k]) * omega_f`` and ``delta0 = omega_0 - j*omega_f`` is the bare
     detuning from the lowest mode.  ``omega`` holds the complex Rabi
     amplitude of each mode.  A config whose modes are dressed out of offset
-    order warns (:class:`ResonanceOrderWarning`).  A shift that dressing or
-    undressing forms sums one mode shift s_k = j + m_k and at most two per
-    stage, so 2 sum_k |s_k| + max_k |s_k| must stay below 2**62: every shift
-    and every difference of two then fits a signed 64-bit integer.
+    order warns (:class:`ResonanceOrderWarning`).  Besides each part,
+    twice |delta0| + sum_k |omega_k| must be finite: with the offset span
+    that sum bounds every stage's generalized Rabi frequency, and the term
+    algebra takes differences of two half-frequencies.  A shift that dressing
+    or undressing forms sums one mode shift s_k = j + m_k and at most two
+    per stage, so 2 sum_k |s_k| + max_k |s_k| must stay below 2**62: every
+    shift and every difference of two then fits a signed 64-bit integer.
     """
 
     j: int
@@ -104,6 +109,10 @@ class ModeConfig:
             raise ValueError(f"detuning delta0 must be finite, got {self.delta0!r}")
         if not all(cmath.isfinite(x) for x in self.omega):
             raise ValueError("Rabi amplitudes must be finite")
+        # hypot: abs() raises on a complex whose parts are finite but modulus is not
+        rate = abs(self.delta0) + sum(math.hypot(x.real, x.imag) for x in self.omega)
+        if not math.isfinite(2.0 * rate):
+            raise ValueError(f"twice |delta0| + sum |omega_k| must be finite, got 2 * {rate:g}")
         if self.m[0] != 0:
             raise ValueError("mode offsets must start at 0")
         if any(b <= a for a, b in zip(self.m, self.m[1:])):
@@ -321,15 +330,17 @@ def stage_unitary(p: StageParams, halffreq: float) -> tuple:
 def build_M(p: StageParams) -> tuple:
     """Transfer matrix of one dressing-plus-rotation stage.
 
-    The conjugation X -> W^dag X W by the stage unitary W = S R
-    (:func:`stage_unitary` at ``p.dm_next``): column j holds the
-    (sigma_z, sigma_+) components of the image of the j-th of (sigma_z,
-    sigma_+, sigma_-); the image's sigma_- is the mirror of its sigma_+.
+    The up-up and up-down rows of the conjugation X -> W^dag X W by the
+    stage unitary W = S R (:func:`stage_unitary` at ``p.dm_next``), over
+    the four entries of X (:func:`~polyrabi.terms.sandwich`).  On a
+    traceless hermitian X they give the image's (sigma_z, sigma_+); its
+    other two entries are the negated sigma_z and the mirror of sigma_+.
     """
     if p.rabi == 0.0:
         raise DegenerateStageError(f"stage {p.k}: zero detuning and zero coupling")
     w = stage_unitary(p, p.dm_next)
-    return sandwich(dagger(w), w, rows=range(1, 3), cols=range(1, 4))
+    m = sandwich(dagger(w), w)
+    return m[0], m[2]
 
 
 def next_stage(p: StageParams, v_prev: tuple, cfg: ModeConfig) -> tuple[tuple, StageParams]:
@@ -349,7 +360,8 @@ def next_stage(p: StageParams, v_prev: tuple, cfg: ModeConfig) -> tuple[tuple, S
     k_next = p.k + 1
     if k_next > cfg.n_modes:
         raise ValueError("cascade already complete")
-    vz, plus = mat_vec(build_M(p), (*v_prev, v_prev[1].conjugate_mirror()))
+    vz, plus = v_prev
+    vz, plus = mat_vec(build_M(p), (vz, -vz, plus, plus.conjugate_mirror()))
     v = (vz + TermSum.single(-0.5 * p.dm_next), plus)
 
     mode = cfg.dressing_order[k_next - 1]

@@ -31,16 +31,17 @@ class WeakFieldWarning(UserWarning):
 
 
 def two_mode_u0(cfg: ModeConfig) -> PropagatorComponents:
-    """Exact lab-frame propagator components for a two-mode drive.
+    """Exact lab-frame propagator entries for a two-mode drive.
 
     Built directly from the explicit two-mode solution (one dressing stage,
     one frame rotation, one undressing), with every trigonometric factor
     expanded into exponential term pairs.  Like the cascade, it dresses the
     mode farther from resonance first (offset order on a tie), onto the
     adiabatic branch, in that mode's frame, and rotates back to the lowest
-    mode's frame at the end.  Agrees termwise with
-    :func:`polyrabi.propagator.undress` on two-mode configs; the two code
-    paths share only the term algebra.
+    mode's frame at the end.  Returns the four entries (up-up, down-down,
+    up-down, down-up), as :func:`polyrabi.propagator.undress` does, and
+    agrees with it termwise on two-mode configs; the two code paths share
+    only the term algebra.
     """
     if cfg.n_modes != 2:
         raise ValueError("two_mode_u0 requires exactly two modes")
@@ -94,14 +95,13 @@ def two_mode_u0(cfg: ModeConfig) -> PropagatorComponents:
         xn1.conjugate() * (TermSum.ladder(-ja) * f) + f_minus * sin_x
     )
 
+    u = (u_id + u_z, u_id - u_z, u_plus, u_minus)
     if ma:
-        # back to the lowest mode's frame: left product by exp(-i*ma*tau*sigma_z/2)
-        cos_a = TermSum.cosine(ma)
-        sin_a = TermSum.sine(ma)
-        u_id, u_z = cos_a * u_id - 1j * (sin_a * u_z), cos_a * u_z - 1j * (sin_a * u_id)
-        u_plus = TermSum.single(1.0, -float(ma), 0) * u_plus
-        u_minus = TermSum.single(1.0, float(ma), 0) * u_minus
-    return PropagatorComponents(u=(u_id, u_z, u_plus, u_minus))
+        # back to the lowest mode's frame: left product by exp(-i*ma*tau*sigma_z/2),
+        # the phase exp(-+i*ma*tau/2) on the up and down rows
+        up, down = TermSum.single(1.0, -float(ma), 0), TermSum.single(1.0, float(ma), 0)
+        u = (up * u[0], down * u[1], up * u[2], down * u[3])
+    return PropagatorComponents(u=u)
 
 
 def _smallest_gap(cfg: ModeConfig) -> int:

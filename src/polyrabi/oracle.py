@@ -280,13 +280,15 @@ def _period_steps(cfg: ModeConfig) -> int:
         + abs(cfg.omega0)
         + sum(abs(om) for om in cfg.omega)
     )
-    steps = 1 << (math.ceil(STEPS_PER_RATE * rate) - 1).bit_length()
-    if steps > MAX_PERIOD_STEPS:
+    need = STEPS_PER_RATE * rate
+    # MAX_PERIOD_STEPS is a power of two, so the step count passes it exactly
+    # when the need does; an infinite rate fails here, before any rounding
+    if not need <= MAX_PERIOD_STEPS:
         raise ValueError(
-            f"drive rate {rate:g} needs {steps} Magnus steps per period; "
+            f"drive rate {rate:g} needs {need:g} Magnus steps per period; "
             f"the oracle takes at most {MAX_PERIOD_STEPS}"
         )
-    return steps
+    return 1 << (math.ceil(need) - 1).bit_length()
 
 
 def _compose(a1, b1, a2, b2):
@@ -471,14 +473,14 @@ def floquet_evolve(
     for every site |n| <= 2K the harmonics |m| <= K reach.  What a run
     reads is taken from the harmonics without building the sites: the P_e
     amplitude sum_n G_n is sum_a exp(-i eps_a tau) conj(phi_{a,down}(0))
-    sum_m exp(i m tau) c_{up,a,m}; channel s is the one row n = -s; the norm
-    comes by Parseval (:func:`_norm_weights`); and only the rows of both
-    spins past 0.9 W are built, for the leakage gate.  The P_e amplitude,
-    the channels and those rows are row slices of one weight matrix, read
-    by one product per block of tau.  The up rows of every site are built
-    from the same harmonics when ``up_amplitudes`` is first read.  The
-    solution is never cut: ``halfwidth`` W only bounds the leakage gate,
-    and the norm defect measures the integration error alone.
+    sum_m exp(i m tau) c_{up,a,m}; channel s is the one row n = -s, exactly
+    zero past 2K; the norm comes by Parseval (:func:`_norm_weights`); and
+    only the rows of both spins past 0.9 W are built, for the leakage gate.
+    The P_e amplitude, the channels and those rows are row slices of one
+    weight matrix, read by one product per block of tau.  The up rows of
+    every site are built from the same harmonics when ``up_amplitudes`` is
+    first read.  The solution is never cut: ``halfwidth`` W only bounds the
+    leakage gate, and the norm defect measures the integration error alone.
     """
     _check_halfwidth(cfg, halfwidth)
     taugrid = _tau_grid(taugrid)
@@ -486,7 +488,8 @@ def floquet_evolve(
     reach = coef.shape[-1] // 2
     sites = np.arange(-2 * reach, 2 * reach + 1)
     edge = sites[np.abs(sites) > 0.9 * halfwidth]
-    shifts = [] if channels is None else [int(s) for s in channels]
+    # a channel past the sites the harmonics reach reads as exactly zero
+    shifts = [] if channels is None else [int(s) for s in channels if abs(int(s)) <= 2 * reach]
     # ((mode, row), m) weights of exp(i m tau): the P_e amplitude, the channels, the edge rows
     reads = [
         coef[0] * coef[1].sum(axis=1, keepdims=True).conj(),
@@ -507,7 +510,7 @@ def floquet_evolve(
     return _oracle_run(
         taugrid,
         total,
-        None if channels is None else dict(zip(shifts, np.abs(chans) ** 2)),
+        None if channels is None else _channel_probs(shifts, chans, channels),
         norm,
         np.sum(rows.real**2 + rows.imag**2, axis=0),
         partial(_site_rows, eps, coef, taugrid),

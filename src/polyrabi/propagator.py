@@ -1,14 +1,14 @@
 """Assembly of the lab-frame propagator and excitation probabilities.
 
 The fully dressed evolution is a bare two-level rotation at the final
-generalized Rabi frequency.  It is written as a 4-vector of
-:class:`~polyrabi.terms.TermSum` coefficients over ``(1, sigma_z, sigma_+,
-sigma_-)`` and pulled back to the lab frame by one 4x4 transfer matrix per
+generalized Rabi frequency.  It is held as its four entries, each a
+:class:`~polyrabi.terms.TermSum`, in the order (up-up, down-down, up-down,
+down-up), and pulled back to the lab frame by one 4x4 transfer matrix per
 dressing stage, applied right-to-left; each product is canonicalized once
 from all of its raw term products, so the term count stays bounded.  The
 transfer matrices and the final rotation are not written out: each is the
 map U -> A U B of two stage unitaries
-(:func:`~polyrabi.cascade.stage_unitary`), taken to the 4-vector basis by
+(:func:`~polyrabi.cascade.stage_unitary`), taken to the four entries by
 :func:`~polyrabi.terms.sandwich`.
 
 The excitation probability is the squared modulus of the sigma_+ component
@@ -49,11 +49,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagatorComponents:
-    """Propagator coefficients over the basis (1, sigma_z, sigma_+, sigma_-).
+    """Propagator entries (up-up, down-down, up-down, down-up).
 
-    Any propagator produced here has unit determinant, which ties the
-    sigma_- component to the sigma_+ one: ``u[3] == -mirror(u[2])`` where
-    mirror conjugates amplitudes and negates half-frequencies and shifts.
+    The up-down entry is the sigma_+ coefficient, the down-up one the
+    sigma_- coefficient.  Any propagator produced here has unit determinant,
+    which ties the sigma_- component to the sigma_+ one,
+    ``u[3] == -mirror(u[2])``, and the down-down entry to the up-up one,
+    ``u[1] == mirror(u[0])``, where mirror conjugates amplitudes and negates
+    half-frequencies and shifts.
     :meth:`hermiticity_defect` measures violation of that identity (0.0 for
     every correctly assembled propagator).
     """
@@ -108,20 +111,22 @@ def _channel_probs(shifts, rows: np.ndarray, channels) -> dict[int, np.ndarray]:
 def dressed_propagator(p: StageParams) -> PropagatorComponents:
     """Two-level propagator of the final, fully dressed stage, in its lab frame.
 
-    S exp(-i*splitting*tau*sigma_z/2) S^dag with S the stage's dressing
-    (:func:`~polyrabi.cascade.stage_unitary`): exponential pairs at
+    The matrix product W S^dag of W = S exp(-i*splitting*tau*sigma_z/2)
+    and the stage's dressing S (:func:`~polyrabi.cascade.stage_unitary`),
+    taken as the map U -> W U S^dag of the identity: exponential pairs at
     half-frequencies +-rabi, the ladder factors carrying the final mode's
     displacement.  A stage with zero rabi frequency evolves trivially
     (identity).
     """
-    u = sandwich(stage_unitary(p, p.splitting), dagger(stage_unitary(p, 0.0)), cols=(0,))
-    return PropagatorComponents(u=tuple(row[0] for row in u))
+    one = TermSum.single(1.0)
+    t = sandwich(stage_unitary(p, p.splitting), dagger(stage_unitary(p, 0.0)))
+    return PropagatorComponents(u=mat_vec(t, (one, one)))
 
 
 def build_T(p: StageParams) -> tuple:
     """Undressing transfer matrix of one stage.
 
-    The map U -> W U S^dag on the 4-vector of propagator coefficients, with
+    The map U -> W U S^dag on the four propagator entries, with
     W = S R the stage unitary at ``p.dm_next`` and S = W(0) its dressing
     (:func:`~polyrabi.cascade.stage_unitary`).  A stage with zero coupling
     undresses as the left product by the frame rotation

@@ -24,9 +24,11 @@ are formed with separate real multiplies and adds, as Python's complex
 product forms them (numpy's complex multiply may fuse them and round
 differently).
 Spin operators are 2x2 matrices of sums over (up, down); :func:`sandwich`
-turns a pair of them into the 4x4 transfer matrix of X -> a.X.b over the
-coefficient basis (1, sigma_z, sigma_+, sigma_-).  :func:`mat_vec` and
-:func:`sandwich` build every entry they return in one such pass.
+turns a pair of them into the 4x4 transfer matrix of X -> a.X.b on the
+operator's four entries, in the order (up-up, down-down, up-down,
+down-up), so that entries 2 and 3 are its sigma_+ and sigma_-
+coefficients.  :func:`mat_vec` and :func:`sandwich` build every entry they
+return in one such pass.
 All values are immutable; every operation returns a new object.
 
 A sum is evaluated on a time grid with its shifts traced out (read as
@@ -385,13 +387,13 @@ def _product_sums(a, b, blocks, n_out: int) -> tuple[TermSum, ...]:
     """Canonical sums of term products, each output from all of its raw products.
 
     ``a`` and ``b`` are flat lists of TermSums.  ``blocks`` is a constant
-    table of arrays (ia, ib, scale, out): block k contributes every product
-    ``scale[k] * ta * tb`` of a term ``ta`` of ``a[ia[k]]`` with a term
-    ``tb`` of ``b[ib[k]]`` to output ``out[k]``; ``scale`` is None for unit
-    scales.  Products are taken in block order, ``a``'s terms outermost,
-    and the whole set is canonicalized in one pass keyed by output.
+    table of arrays (ia, ib, out): block k contributes every product
+    ``ta * tb`` of a term ``ta`` of ``a[ia[k]]`` with a term ``tb`` of
+    ``b[ib[k]]`` to output ``out[k]``.  Products are taken in block order,
+    ``a``'s terms outermost, and the whole set is canonicalized in one pass
+    keyed by output.
     """
-    ia, ib, scale, out = blocks
+    ia, ib, out = blocks
     la = np.array([len(x) for x in a], dtype=np.intp)
     lb = np.array([len(x) for x in b], dtype=np.intp)
     nb = lb[ib]
@@ -404,11 +406,8 @@ def _product_sums(a, b, blocks, n_out: int) -> tuple[TermSum, ...]:
     qa, qb = np.divmod(np.arange(total) - (count.cumsum() - count)[blk], nb[blk])
     ta = (la.cumsum() - la)[ia][blk] + qa
     tb = (lb.cumsum() - lb)[ib][blk] + qb
-    a_amp = np.concatenate([x.amp for x in a])[ta]
-    if scale is not None:
-        a_amp = _cmul(scale[blk], a_amp)
     amp, f, s, key = _canonical(
-        _cmul(a_amp, np.concatenate([x.amp for x in b])[tb]),
+        _cmul(np.concatenate([x.amp for x in a])[ta], np.concatenate([x.amp for x in b])[tb]),
         np.concatenate([x.halffreq for x in a])[ta] + np.concatenate([x.halffreq for x in b])[tb],
         np.concatenate([x.shift for x in a])[ta] + np.concatenate([x.shift for x in b])[tb],
         out[blk],
@@ -428,8 +427,7 @@ def _mat_vec_blocks(n_cols: tuple[int, ...]):
             ib.append(c)
             out.append(r)
         offset += n
-    ia, ib, out = _frozen(np.array(ia, np.intp), np.array(ib, np.intp), np.array(out, np.intp))
-    return ia, ib, None, out
+    return _frozen(np.array(ia, np.intp), np.array(ib, np.intp), np.array(out, np.intp))
 
 
 def mat_vec(m: tuple, v: tuple) -> tuple:
@@ -444,38 +442,16 @@ def mat_vec(m: tuple, v: tuple) -> tuple:
     return _product_sums(a, v, _mat_vec_blocks(n_cols), len(m))
 
 
-# The spin basis (1, sigma_z, sigma_+, sigma_-) of 2x2 matrices over (up,
-# down): each basis element as its nonzero entries (row, col, value), and each
-# component as the entries (row, col, weight) it is read from.  The elements
-# are orthogonal, so the read weights are the dual basis, each value over its
-# element's squared norm: (Y00 + Y11)/2, (Y00 - Y11)/2, Y01 and Y10.
-_BASIS = (
-    ((0, 0, 1.0), (1, 1, 1.0)),
-    ((0, 0, 1.0), (1, 1, -1.0)),
-    ((0, 1, 1.0),),
-    ((1, 0, 1.0),),
+# The (row, col) of each entry of a 2x2 operator, in the order it is held:
+# (up-up, down-down, up-down, down-up).
+_ENTRIES = ((0, 0), (1, 1), (0, 1), (1, 0))
+# Block table of X -> a.X.b on flat 2x2 operands: entry (p, q) of the image
+# takes a[p][k] * b[l][q] from entry (k, l) of X, one product per output.
+_SANDWICH_BLOCKS = _frozen(
+    np.array([2 * p + k for p, q in _ENTRIES for k, l in _ENTRIES], np.intp),
+    np.array([2 * l + q for p, q in _ENTRIES for k, l in _ENTRIES], np.intp),
+    np.arange(16, dtype=np.intp),
 )
-_READ = tuple(
-    tuple((r, c, v / sum(e * e for *_, e in element)) for r, c, v in element)
-    for element in _BASIS
-)
-
-
-@lru_cache(maxsize=None)
-def _sandwich_blocks(rows: tuple[int, ...], cols: tuple[int, ...]):
-    """Block table of the entries rows x cols of X -> a.X.b, flat 2x2 operands."""
-    ia, ib, scale, out = [], [], [], []
-    for i in rows:
-        for j in cols:
-            for p, q, w in _READ[i]:
-                for r, t, e in _BASIS[j]:
-                    ia.append(2 * p + r)
-                    ib.append(2 * t + q)
-                    scale.append(w * e)
-                    out.append(len(cols) * rows.index(i) + cols.index(j))
-    return _frozen(
-        np.array(ia, np.intp), np.array(ib, np.intp), np.array(scale, complex), np.array(out, np.intp)
-    )
 
 
 def dagger(a: tuple) -> tuple:
@@ -483,19 +459,13 @@ def dagger(a: tuple) -> tuple:
     return tuple(tuple(a[c][r].conjugate_mirror() for c in range(2)) for r in range(2))
 
 
-def sandwich(a: tuple, b: tuple, rows=range(4), cols=range(4)) -> tuple:
-    """4x4 matrix of the map X -> a.X.b over the basis (1, sigma_z, sigma_+, sigma_-).
+def sandwich(a: tuple, b: tuple) -> tuple:
+    """4x4 matrix of the map X -> a.X.b on the entries (up-up, down-down, up-down, down-up).
 
     ``a`` and ``b`` are 2x2 matrices over TermSum entries, rows and columns
-    (up, down).  Entry (i, j) is component i of a.E_j.b for the basis
-    element E_j, canonicalized once from all of its raw term products
-    ``w * e * ta * tb`` (w the read weight, e the basis value), so each
-    merged group is summed by a single exact sum.  Only the entries in
-    ``rows`` x ``cols`` are built, all in one pass, as a len(rows) x
-    len(cols) matrix.
+    (up, down).  Entry (i, j) maps entry (k, l) of X, the j-th of the
+    order, to entry (p, q) of the image, the i-th: the single product
+    a[p][k] * b[l][q].  All sixteen are built in one pass.
     """
-    rows, cols = tuple(rows), tuple(cols)
-    flat = _product_sums(
-        [*a[0], *a[1]], [*b[0], *b[1]], _sandwich_blocks(rows, cols), len(rows) * len(cols)
-    )
-    return tuple(flat[k : k + len(cols)] for k in range(0, len(flat), len(cols)))
+    flat = _product_sums([*a[0], *a[1]], [*b[0], *b[1]], _SANDWICH_BLOCKS, 16)
+    return tuple(flat[k : k + 4] for k in range(0, 16, 4))

@@ -104,11 +104,9 @@ def bits(x):
 
 # -- a pure-Python reference for the term algebra's merge ----------------------
 
-# The spin basis (1, sigma_z, sigma_+, sigma_-) over (up, down): each basis
-# element's nonzero entries (row, col, value), and the entries (row, col,
-# weight) each component is read from.
-BASIS = (((0, 0, 1.0), (1, 1, 1.0)), ((0, 0, 1.0), (1, 1, -1.0)), ((0, 1, 1.0),), ((1, 0, 1.0),))
-READ = (((0, 0, 0.5), (1, 1, 0.5)), ((0, 0, 0.5), (1, 1, -0.5)), ((0, 1, 1.0),), ((1, 0, 1.0),))
+# The (row, col) over (up, down) of each entry of a 2x2 operator, in the
+# order the algebra holds them: up-up, down-down, up-down, down-up.
+ENTRIES = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
 def ref_canonical(raw):
@@ -136,19 +134,10 @@ def ref_canonical(raw):
     return out
 
 
-def ref_products(a, b, scale=None):
-    """Raw products of every term of ``a`` with every term of ``b``, ``a`` outermost.
-
-    A real ``scale`` multiplies as a complex number, ``scale + 0j``.
-    """
+def ref_products(a, b):
+    """Raw products of every term of ``a`` with every term of ``b``, ``a`` outermost."""
     return [
-        (
-            (ta.amp if scale is None else complex(scale) * ta.amp) * tb.amp,
-            ta.halffreq + tb.halffreq,
-            ta.shift + tb.shift,
-        )
-        for ta in a
-        for tb in b
+        (ta.amp * tb.amp, ta.halffreq + tb.halffreq, ta.shift + tb.shift) for ta in a for tb in b
     ]
 
 
@@ -158,15 +147,9 @@ def ref_mat_vec_row(row, v):
 
 
 def ref_sandwich_entry(a, b, i, j):
-    """Component i of a.E_j.b, canonicalized from all its raw products w*e*ta*tb."""
-    return ref_canonical(
-        [
-            t
-            for p, q, w in READ[i]
-            for r, c, e in BASIS[j]
-            for t in ref_products(a[p][r], b[c][q], w * e)
-        ]
-    )
+    """Entry i of a.E_j.b, E_j the unit matrix at entry j: the canonical product a[p][k]*b[l][q]."""
+    (p, q), (k, l) = ENTRIES[i], ENTRIES[j]
+    return ref_canonical(ref_products(a[p][k], b[l][q]))
 
 
 def term_bits(terms):
@@ -237,8 +220,10 @@ def stage_chain_plus(cr, taus, thetas=(0.0,)):
 def ref_cascade_chain(cfg):
     """The cascade's stages, each with its (sigma_z, sigma_+, sigma_-) interaction.
 
-    The recursion with all three coefficients carried and transferred by
-    the 3x3 conjugation W^dag X W, built from the public stage unitary and
+    The recursion with all three coefficients carried, each read from its
+    own entry of the conjugation W^dag X W of the traceless interaction
+    X = (sigma_z, -sigma_z, sigma_+, sigma_-) over the entries (up-up,
+    down-down, up-down, down-up), built from the public stage unitary and
     term algebra alone.  Returns the stages in dressing order, the frame
     anchor not included, and the interaction before each stage: entry k
     pairs the (k+1)-th stage dressed with the interaction it dresses.
@@ -257,7 +242,8 @@ def ref_cascade_chain(cfg):
     chain = [(p, v)]
     for k in range(1, cfg.n_modes):
         w = stage_unitary(p, p.dm_next)
-        v = mat_vec(sandwich(dagger(w), w, rows=range(1, 4), cols=range(1, 4)), v)
+        conj = sandwich(dagger(w), w)
+        v = mat_vec((conj[0], conj[2], conj[3]), (v[0], -v[0], v[1], v[2]))
         v = (v[0] + TermSum.single(-0.5 * p.dm_next), v[1], v[2])
         shift = cfg.j + offsets[k]
         p = StageParams(

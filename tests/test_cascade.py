@@ -50,6 +50,11 @@ class TestModeConfig:
             ((0.5, complex(0.1, math.inf)), 1.0),
             ((0.5, 0.5), math.nan),
             ((0.5, 0.5), -math.inf),
+            # finite parts whose rate overflows when doubled: one coupling's
+            # modulus, two couplings, a coupling plus |delta0|
+            ((complex(1e308, 1e308), 0.5), 1.0),
+            ((1e308, 1e308), 1.0),
+            ((1.7e308, 0.5), 1.7e308),
         ],
     )
     def test_non_finite_rejected(self, omega, delta0):
@@ -152,23 +157,26 @@ def random_stage(rng):
 
 class TestStageUnitary:
     def test_dresses_random_stages(self):
-        # S^dag S = 1 and S^dag (detuning/2 sz + chi/2 b_s s+ + h.c.) S = splitting/2 sz
+        # S^dag S = 1 and S^dag (detuning/2 sz + chi/2 b_s s+ + h.c.) S = splitting/2 sz,
+        # over the entries (up-up, down-down, up-down, down-up)
         rng = np.random.default_rng(15)
         zero = TermSum()
+        one = TermSum.single(1.0)
         for _ in range(200):
             p = random_stage(rng)
             s = stage_unitary(p, 0.0)
             conj = sandwich(dagger(s), s)
-            unit = mat_vec(conj, (TermSum.single(1.0), zero, zero, zero))
+            unit = mat_vec(conj, (one, one, zero, zero))
             block = (
-                zero,
                 TermSum.single(0.5 * p.detuning),
+                TermSum.single(-0.5 * p.detuning),
                 TermSum.single(0.5 * p.chi, 0.0, p.mode_shift),
                 TermSum.single(0.5 * p.chi.conjugate(), 0.0, -p.mode_shift),
             )
             dressed = mat_vec(conj, block)
-            expect_unit = (TermSum.single(1.0), zero, zero, zero)
-            expect_dressed = (zero, TermSum.single(0.5 * p.splitting), zero, zero)
+            expect_unit = (one, one, zero, zero)
+            half = 0.5 * p.splitting
+            expect_dressed = (TermSum.single(half), TermSum.single(-half), zero, zero)
             for got, expect in zip(unit + dressed, expect_unit + expect_dressed):
                 assert termwise_dev(got, expect) <= 1e-15
 
@@ -206,21 +214,23 @@ class TestBuildM:
     def test_no_coupling_is_frame_rotation(self):
         p = StageParams(k=1, detuning=0.7, chi=0.0, mode_shift=1, dm_next=2)
         m = build_M(p)
-        assert [len(row) for row in m] == [3, 3]
+        # rows up-up (sigma_z) and up-down (sigma_+) over the four entries
+        assert [len(row) for row in m] == [4, 4]
         assert m[0][0] == TermSum.single(1.0)
-        assert m[1][1] == TermSum.single(1.0, 4.0, 0)
-        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2)):
+        assert m[1][2] == TermSum.single(1.0, 4.0, 0)
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3)):
             assert m[i][j].max_abs_amp() == 0.0
         # the unbuilt sigma_- row is the mirror of the sigma_+ row
         w = stage_unitary(p, p.dm_next)
-        minus_row = sandwich(dagger(w), w, rows=(3,), cols=(3,))[0][0]
-        assert minus_row == m[1][1].conjugate_mirror() == TermSum.single(1.0, -4.0, 0)
+        minus_row = sandwich(dagger(w), w)[3][3]
+        assert minus_row == m[1][2].conjugate_mirror() == TermSum.single(1.0, -4.0, 0)
 
     def test_fig1_stage1_entries(self):
         p = StageParams(k=1, detuning=1.0, chi=0.5, mode_shift=1, dm_next=2)
         m = build_M(p)
-        assert m[0][0].amp_at(0.0, 0) == pytest.approx(0.894427190999916)
-        t = m[1][0].terms[0]
+        # the image of sigma_z, the up-up entry less the down-down one
+        assert (m[0][0] - m[0][1]).amp_at(0.0, 0) == pytest.approx(0.894427190999916)
+        t = (m[1][0] - m[1][1]).terms[0]
         assert t.amp == pytest.approx(-0.4472135954999579)
         assert t.halffreq == 4.0
         assert t.shift == 1

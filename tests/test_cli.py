@@ -487,6 +487,35 @@ class TestMain:
         err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
         assert "finite" in err["error"]
 
+    @pytest.mark.parametrize(
+        "omega, delta0",
+        [([[1e308, 1e308], [0.5, 0.0]], 1.0), ([1e308, 1e308], 1.0), ([1.7e308, 0.5], 1.7e308)],
+        ids=["coupling_modulus", "summed_couplings", "couplings_and_detuning"],
+    )
+    @pytest.mark.parametrize("engine", ["cascade", "oracle", "all"])
+    def test_overflowing_drive_rejected_before_output(
+        self, tmp_path, capsys, omega, delta0, engine
+    ):
+        config = {**FIG1_CONFIG, "omega": omega, "delta0": delta0}
+        cfg_path = self._fig1_doc(tmp_path, config=config, engine=engine)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "finite" in err["error"]
+
+    @pytest.mark.parametrize("engine", ["oracle", "all"])
+    def test_oracle_step_overflow_rejected_before_output(self, tmp_path, capsys, engine):
+        # a valid comb, but the oracle's Magnus step count overflows a float
+        config = {**FIG1_CONFIG, "delta0": 1e307}
+        cfg_path = self._fig1_doc(tmp_path, config=config, engine=engine)
+        err = self._rejected_before_output(tmp_path, capsys, ["--config", str(cfg_path)])
+        assert "Magnus steps" in err["error"]
+
+    @pytest.mark.parametrize("engine", ["oracle", "all"])
+    def test_channels_at_the_int64_ends_run(self, tmp_path, engine):
+        cfg_path = self._fig1_doc(tmp_path, engine=engine, channels=[2**63 - 1, -(2**63), 1])
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        series = read_series_csv(tmp_path / "out" / "run_oracle.csv")
+        assert not series.channels[2**63 - 1].any() and not series.channels[-(2**63)].any()
+
     def test_infinite_tau_rejected_before_output(self, tmp_path, capsys):
         tau = {"start": -math.inf, "stop": 3.0, "count": 10}
         cfg_path = self._fig1_doc(tmp_path, tau=tau, engine="cascade")

@@ -397,6 +397,25 @@ class TestFloquetEvolve:
         with pytest.raises(ValueError, match="Magnus steps"):
             floquet_evolve(cfg, 10, np.linspace(0.0, 1.0, 3))
 
+    def test_drive_rate_past_the_float_range(self):
+        # its step count overflows a float: refused like any fast drive
+        cfg = ModeConfig(j=1, m=(0, 2), omega=(0.5, 0.5), delta0=1e307)
+        with pytest.raises(ValueError, match="Magnus steps"):
+            floquet_evolve(cfg, 60, np.linspace(0.0, 1.0, 3))
+
+    def test_channels_at_the_int64_ends_read_zero(self, fig1_cfg):
+        # a lag m + s past int64 is never formed: such a channel lies past
+        # every site the harmonics reach, so it reads as exactly zero
+        taus = np.linspace(0.0, 4.0 * math.pi, 200)
+        channels = [2**63 - 1, -(2**63), 1]
+        run = floquet_evolve(fig1_cfg, 200, taus, channels=channels)
+        ref = lattice(fig1_cfg, 200, taus, channels)
+        assert list(run.pe.channels) == list(ref.pe.channels) == channels
+        for s in channels[:2]:
+            assert np.array_equal(run.pe.channels[s], np.zeros(len(taus)))
+            assert np.array_equal(run.pe.channels[s], ref.pe.channels[s])
+        assert np.max(np.abs(run.pe.channels[1] - ref.pe.channels[1])) <= 1e-10
+
     def test_rows_built_only_when_read(self, fig1_cfg, taus_4pi):
         built = []
         rows = oracle._site_rows

@@ -241,13 +241,8 @@ def random_mat2(rng, n=2):
     return tuple(tuple(0.25 * random_sum(rng, n) for _ in range(2)) for _ in range(2))
 
 
-# (1, sigma_z, sigma_+, sigma_-) over rows and columns (up, down)
-PAULI = (
-    np.eye(2),
-    np.diag([1.0, -1.0]),
-    np.array([[0.0, 1.0], [0.0, 0.0]]),
-    np.array([[0.0, 0.0], [1.0, 0.0]]),
-)
+# the unit matrices at the entries up-up, down-down, up-down and down-up
+UNITS = tuple(np.outer(np.eye(2)[r], np.eye(2)[c]) for r, c in ((0, 0), (1, 1), (0, 1), (1, 0)))
 
 
 def numeric(m, tau):
@@ -264,8 +259,8 @@ class TestSandwich:
             x = tuple(random_sum(rng, 3) for _ in range(4))
             y = mat_vec(sandwich(a, b), x)
             for tau in rng.uniform(0, 10, size=3):
-                xm = sum(at(c, tau) * e for c, e in zip(x, PAULI))
-                ym = sum(at(c, tau) * e for c, e in zip(y, PAULI))
+                xm = sum(at(c, tau) * e for c, e in zip(x, UNITS))
+                ym = sum(at(c, tau) * e for c, e in zip(y, UNITS))
                 expect = numeric(a, tau) @ xm @ numeric(b, tau)
                 assert np.max(np.abs(ym - expect)) < 1e-13
 
@@ -370,10 +365,6 @@ class TestMatchesReference:
         for i in range(4):
             for j in range(4):
                 assert_matches(t[i][j], ref_sandwich_entry(a, b, i, j))
-        part = sandwich(a, b, rows=range(1, 4), cols=(0, 2))
-        assert [[x.terms for x in row] for row in part] == [
-            [t[i][j].terms for j in (0, 2)] for i in range(1, 4)
-        ]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_many_groups(self, seed):
