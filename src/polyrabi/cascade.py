@@ -85,7 +85,7 @@ class ModeConfig:
     detuning from the lowest mode.  ``omega`` holds the complex Rabi
     amplitude of each mode.  A config whose modes are dressed out of offset
     order warns (:class:`ResonanceOrderWarning`).  Besides each part,
-    twice |delta0| + sum_k |omega_k| must be finite: with the offset span
+    2 * (|delta0| + sum_k |omega_k|) must be finite: with the offset span
     that sum bounds every stage's generalized Rabi frequency, and the term
     algebra takes differences of two half-frequencies.  A shift that dressing
     or undressing forms sums one mode shift s_k = j + m_k and at most two
@@ -112,7 +112,7 @@ class ModeConfig:
         # hypot: abs() raises on a complex whose parts are finite but modulus is not
         rate = abs(self.delta0) + sum(math.hypot(x.real, x.imag) for x in self.omega)
         if not math.isfinite(2.0 * rate):
-            raise ValueError(f"twice |delta0| + sum |omega_k| must be finite, got 2 * {rate:g}")
+            raise ValueError(f"2 * (|delta0| + sum |omega_k|) must be finite, got 2 * {rate:g}")
         if self.m[0] != 0:
             raise ValueError("mode offsets must start at 0")
         if any(b <= a for a, b in zip(self.m, self.m[1:])):

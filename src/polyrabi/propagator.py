@@ -6,10 +6,10 @@ generalized Rabi frequency.  It is held as its four entries, each a
 down-up), and pulled back to the lab frame by one 4x4 transfer matrix per
 dressing stage, applied right-to-left; each product is canonicalized once
 from all of its raw term products, so the term count stays bounded.  The
-transfer matrices and the final rotation are not written out: each is the
-map U -> A U B of two stage unitaries
-(:func:`~polyrabi.cascade.stage_unitary`), taken to the four entries by
-:func:`~polyrabi.terms.sandwich`.
+transfer matrices are not written out: each is the map U -> A U B of two
+stage unitaries (:func:`~polyrabi.cascade.stage_unitary`), taken to the
+four entries by :func:`~polyrabi.terms.sandwich`.  The final rotation is
+the 2x2 product of two of them.
 
 The excitation probability is the squared modulus of the sigma_+ component
 after the equal-weight partial trace over the field lattice; grouping the
@@ -113,14 +113,13 @@ def dressed_propagator(p: StageParams) -> PropagatorComponents:
 
     The matrix product W S^dag of W = S exp(-i*splitting*tau*sigma_z/2)
     and the stage's dressing S (:func:`~polyrabi.cascade.stage_unitary`),
-    taken as the map U -> W U S^dag of the identity: exponential pairs at
-    half-frequencies +-rabi, the ladder factors carrying the final mode's
-    displacement.  A stage with zero rabi frequency evolves trivially
-    (identity).
+    one column of S^dag at a time: exponential pairs at half-frequencies
+    +-rabi, the ladder factors carrying the final mode's displacement.  A
+    stage with zero rabi frequency evolves trivially (identity).
     """
-    one = TermSum.single(1.0)
-    t = sandwich(stage_unitary(p, p.splitting), dagger(stage_unitary(p, 0.0)))
-    return PropagatorComponents(u=mat_vec(t, (one, one)))
+    w, s_dag = stage_unitary(p, p.splitting), dagger(stage_unitary(p, 0.0))
+    (uu, du), (ud, dd) = (mat_vec(w, (s_dag[0][q], s_dag[1][q])) for q in range(2))
+    return PropagatorComponents(u=(uu, dd, ud, du))
 
 
 def build_T(p: StageParams) -> tuple:
